@@ -112,12 +112,12 @@ ComputeOutcome Accelerator::try_compute_with(Backend backend,
                                              std::span<const double> q,
                                              int base_attempt,
                                              const EncodedInputs* pre_enc,
-                                             const AnalogEval* first_eval)
-    const {
+                                             const AnalogEval* first_eval,
+                                             double spent_s) const {
   static const obs::Counter computes("mda.accel.computes");
   static const obs::Counter failures("mda.accel.failures");
   static const obs::Histogram compute_time("mda.accel.compute_time_s");
-  const obs::ScopedTimer timer(compute_time);
+  const obs::ScopedTimer timer(compute_time, spent_s);
   computes.add();
 
   if (p.empty() || q.empty()) {
@@ -368,6 +368,7 @@ std::vector<ComputeOutcome> Accelerator::try_compute_lockstep(
   const bool batchable = config_.faults == nullptr;
   std::vector<std::size_t> group;
   std::vector<EncodedInputs> encs;
+  std::vector<double> spent_s;  // per group lane: encode, then batch share
   for (std::size_t i = 0; i < count; ++i) {
     const QueryRequest& req = queries[i];
     const Backend backend = req.backend.value_or(config_.backend);
@@ -382,7 +383,9 @@ std::vector<ComputeOutcome> Accelerator::try_compute_lockstep(
                   req.p.size() == req.q.size());
     if (valid) {
       try {
+        const double t0 = obs::detail::monotonic_seconds();
         encs.push_back(encode_inputs(config_, spec_, req.p, req.q));
+        spent_s.push_back(obs::detail::monotonic_seconds() - t0);
         group.push_back(i);
         continue;
       } catch (const std::exception&) {
@@ -398,12 +401,18 @@ std::vector<ComputeOutcome> Accelerator::try_compute_lockstep(
   if (!group.empty()) {
     groups.add();
     lanes.add(static_cast<std::uint64_t>(group.size()));
+    const double t0 = obs::detail::monotonic_seconds();
     const std::vector<AnalogEval> evals =
         eval_full_spice_batch(config_, spec_, encs);
+    // Every lane waited for the whole batch; each is charged an equal share
+    // so the per-query compute times sum to the work actually done.
+    const double share = (obs::detail::monotonic_seconds() - t0) /
+                         static_cast<double>(group.size());
     for (std::size_t s = 0; s < group.size(); ++s) {
       const std::size_t i = group[s];
       slots[i].emplace(try_compute_with(Backend::FullSpice, queries[i].p,
-                                        queries[i].q, 0, &encs[s], &evals[s]));
+                                        queries[i].q, 0, &encs[s], &evals[s],
+                                        spent_s[s] + share));
     }
   }
 

@@ -123,12 +123,15 @@ class Accelerator {
   /// chain (QueryRequest::fault_attempt); `pre_enc` supplies already-encoded
   /// (and already-counted) inputs; `first_eval` supplies the result of the
   /// chain's first attempt (batched elsewhere) — the retry/degradation
-  /// chain continues from it unchanged.
+  /// chain continues from it unchanged; `spent_s` is this query's share of
+  /// the time that encoding and batched evaluation already took, charged to
+  /// mda.accel.compute_time_s with the rest of the query.
   ComputeOutcome try_compute_with(Backend backend, std::span<const double> p,
                                   std::span<const double> q,
                                   int base_attempt = 0,
                                   const EncodedInputs* pre_enc = nullptr,
-                                  const AnalogEval* first_eval = nullptr) const;
+                                  const AnalogEval* first_eval = nullptr,
+                                  double spent_s = 0.0) const;
   /// Spec-compatibility check for requests that pin kind/threshold/band;
   /// nullopt = compatible.
   [[nodiscard]] std::optional<ComputeError> spec_mismatch(

@@ -128,11 +128,14 @@ class Histogram {
 };
 
 /// RAII timer recording elapsed seconds into a Histogram on destruction.
+/// `spent_before` adds time the timed operation already spent elsewhere
+/// (e.g. its share of a batched solve run before the scope opened).
 class ScopedTimer {
  public:
-  explicit ScopedTimer(const Histogram& hist)
+  explicit ScopedTimer(const Histogram& hist, double spent_before = 0.0)
       : hist_(&hist),
-        start_(enabled() ? detail::monotonic_seconds() : 0.0) {}
+        start_(enabled() ? detail::monotonic_seconds() - spent_before
+                         : 0.0) {}
   ~ScopedTimer() {
     if (start_ != 0.0) hist_->observe(detail::monotonic_seconds() - start_);
   }
@@ -183,7 +186,7 @@ class Histogram {
 
 class ScopedTimer {
  public:
-  explicit ScopedTimer(const Histogram&) {}
+  explicit ScopedTimer(const Histogram&, double = 0.0) {}
   ScopedTimer(const ScopedTimer&) = delete;
   ScopedTimer& operator=(const ScopedTimer&) = delete;
 };

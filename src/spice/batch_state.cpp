@@ -1,8 +1,6 @@
 #include "spice/batch_state.hpp"
 
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
 
 namespace mda::spice::batch {
 
@@ -24,15 +22,7 @@ bool detect_avx512() {
 #endif
 }
 
-bool env_force_scalar() {
-  const char* v = std::getenv("MDA_BATCH_FORCE_SCALAR");
-  return v != nullptr && *v != '\0' && std::strcmp(v, "0") != 0;
-}
-
-std::atomic<bool>& force_scalar_flag() {
-  static std::atomic<bool> flag{env_force_scalar()};
-  return flag;
-}
+std::atomic<bool> force_scalar_flag{false};
 
 }  // namespace
 
@@ -47,11 +37,11 @@ bool avx512_available() {
 }
 
 void set_force_scalar(bool on) {
-  force_scalar_flag().store(on, std::memory_order_relaxed);
+  force_scalar_flag.store(on, std::memory_order_relaxed);
 }
 
 bool force_scalar() {
-  return force_scalar_flag().load(std::memory_order_relaxed);
+  return force_scalar_flag.load(std::memory_order_relaxed);
 }
 
 bool use_avx2() { return avx2_available() && !force_scalar(); }

@@ -3,20 +3,19 @@
 // same-structure solver (DESIGN.md §12).
 //
 // A batch of B independent queries of one circuit configuration shares a
-// single MNA pattern and LU structure (PR-4/PR-5 guarantees); only values
-// differ per lane.  Lane-major SoA buffers put the B values of one logical
-// element contiguously, so the inner LU loops process all lanes of an
-// element with one vector op while the index streams (row indices, column
-// pointers, elimination tape) are read once per element instead of once per
-// lane.
+// single MNA pattern and LU structure; only values differ per lane.
+// Lane-major SoA buffers put the B values of one logical element
+// contiguously, so the inner LU loops process all lanes of an element with
+// one vector op while the index streams (row indices, column pointers,
+// elimination tape) are read once per element instead of once per lane.
 //
-// Kernel selection is a runtime decision: AVX2 when the CPU supports it,
-// a portable scalar fallback otherwise.  Both kernels execute the exact
-// same per-lane arithmetic sequence as the serial solver (no FMA
-// contraction, zero-skips and max scans replicated with masked blends), so
-// the choice never changes a single result bit — which is what lets the
-// scalar-forced CI job (MDA_BATCH_FORCE_SCALAR=1) pin the vector path by
-// differential testing.
+// Kernel selection is a runtime decision from the CPU alone: one kernel
+// body per operation, written over W-lane vectors and run at W = 8 on
+// AVX-512 hardware (whole 512-bit strides) or W = 4 on AVX2.  Both widths
+// execute the exact per-lane arithmetic sequence of the serial solver (no
+// FMA contraction, zero-skips and max scans replicated with masked blends),
+// so the width never changes a single result bit.  Without AVX2 there is no
+// lockstep LU: BatchNewtonSolver sends every lane to the scalar solver.
 
 #include <cstddef>
 #include <vector>
@@ -31,26 +30,26 @@ inline constexpr std::size_t kSimdLanes = 4;
   return (lanes + kSimdLanes - 1) / kSimdLanes * kSimdLanes;
 }
 
-/// True when this CPU can run the AVX2 kernels.
+/// True when this CPU can run the 4-lane (AVX2) kernel.
 [[nodiscard]] bool avx2_available();
 
-/// True when this CPU can additionally run the AVX-512 kernels.  A 512-bit
-/// op covers 8 lanes with the instruction count of a 4-lane 256-bit op, and
-/// the sparse kernels are bound by per-element bookkeeping rather than
-/// arithmetic throughput — so 8-lane batches nearly halve the per-lane cost.
+/// True when this CPU can additionally run the 8-lane (AVX-512) kernel.  A
+/// 512-bit op covers 8 lanes with the instruction count of a 4-lane 256-bit
+/// op, and the sparse kernel is bound by per-element bookkeeping rather
+/// than arithmetic throughput — so 8-lane batches nearly halve the per-lane
+/// cost.
 [[nodiscard]] bool avx512_available();
 
-/// Force the portable scalar kernels even on AVX2 hardware.  Seeded from
-/// the MDA_BATCH_FORCE_SCALAR environment variable ("0"/unset = off);
-/// settable at runtime for differential tests.
+/// Disable lockstep LU in-process (off by default): BatchNewtonSolver then
+/// routes every lane through the scalar solver, as on a CPU without AVX2.
+/// Lets tests pin batch(W) = scalar with and without the vector kernel.
 void set_force_scalar(bool on);
 [[nodiscard]] bool force_scalar();
 
-/// The effective kernel choice: AVX2 available and not forced scalar.
+/// Lockstep LU is on: AVX2 available and not forced off.
 [[nodiscard]] bool use_avx2();
 
-/// AVX-512 available and not forced scalar.  Callers additionally require a
-/// stride divisible by 8 (whole 512-bit blocks) before taking this path.
+/// AVX-512 available and lockstep LU not forced off.
 [[nodiscard]] bool use_avx512();
 
 /// Lane-major SoA buffer: `rows` logical elements by `lanes` lanes, stored

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "obs/metrics.hpp"
+#include "spice/batch_state.hpp"
 #include "util/log.hpp"
 
 namespace mda::spice {
@@ -207,8 +208,7 @@ bool BatchNewtonSolver::lane_structure_matches(std::size_t i,
 }
 
 BatchNewtonSolver::SparseBatch* BatchNewtonSolver::acquire_sparse_batch(
-    std::size_t rep_lane, const NewtonLane& lane, const MnaSystem& ref,
-    std::size_t nlanes) {
+    const MnaSystem& ref, std::size_t nlanes) {
   ++spool_clock_;
   const std::uint64_t me = ref.structure_epoch();
   const std::uint64_t fe = ref.sparse_lu_.factor_epoch();
@@ -261,13 +261,10 @@ BatchNewtonSolver::SparseBatch* BatchNewtonSolver::acquire_sparse_batch(
 
 void BatchNewtonSolver::solve_round(std::span<NewtonLane> lanes) {
   // Same-name counters as MnaSystem::solve_assembled — shared series.
-  static const obs::Counter dense_solves("mda.spice.dense_lu_solves");
   static const obs::Counter sparse_refactors("mda.spice.sparse_lu_refactors");
   static const obs::Counter sparse_solves("mda.spice.sparse_lu_solves");
-  static const obs::Counter singular("mda.spice.singular_systems");
   // Batch-path observability.
   static const obs::Counter batch_sparse_lanes("mda.spice.batch_sparse_lanes");
-  static const obs::Counter batch_dense_lanes("mda.spice.batch_dense_lanes");
   static const obs::Counter batch_evictions(
       "mda.spice.batch_scalar_evictions");
 
@@ -291,72 +288,22 @@ void BatchNewtonSolver::solve_round(std::span<NewtonLane> lanes) {
     solve_ok_[i] = 0;
   }
 
+  // 2. Prepare values, partition the refactor-ready sparse lanes into
+  //    structure classes (per-lane value streams steer threshold pivoting,
+  //    so several pivot orders can coexist in one round), and batch each
+  //    class through its own pooled SoA solver.  Lockstep LU needs a vector
+  //    kernel: without one (no AVX2, or forced off) every lane runs scalar,
+  //    as do dense-path lanes (at most kDenseThreshold unknowns).
+  const bool lockstep = batch::use_avx2();
   scalar_.clear();
-
-  // 2. Dense-path lanes (small systems): batch those sharing a dimension.
   group_.clear();
   for (std::size_t i = 0; i < nlanes; ++i) {
     if (!state_[i].pending) continue;
-    if (lanes[i].mna->num_unknowns() <= MnaSystem::kDenseThreshold) {
-      group_.push_back(i);
+    MnaSystem& mna = *lanes[i].mna;
+    if (!lockstep || mna.num_unknowns() <= MnaSystem::kDenseThreshold) {
+      scalar_.push_back(i);
+      continue;
     }
-  }
-  if (group_.size() >= 2) {
-    const int n = lanes[group_[0]].mna->num_unknowns();
-    std::size_t w = 0;
-    for (std::size_t g : group_) {
-      if (lanes[g].mna->num_unknowns() == n) {
-        group_[w++] = g;
-      } else {
-        scalar_.push_back(g);
-      }
-    }
-    group_.resize(w);
-    bdense_.resize(n, group_.size());
-    for (std::size_t s = 0; s < group_.size(); ++s) {
-      MnaSystem& mna = *lanes[group_[s]].mna;
-      // Replicate the scalar dense accumulation (same triplet order).
-      mna.dense_.assign(static_cast<std::size_t>(n) * static_cast<std::size_t>(n),
-                        0.0);
-      for (std::size_t k = 0; k < mna.vals_.size(); ++k) {
-        mna.dense_[static_cast<std::size_t>(mna.rows_[k]) *
-                       static_cast<std::size_t>(n) +
-                   static_cast<std::size_t>(mna.cols_[k])] += mna.vals_[k];
-      }
-      bdense_.load_lane_matrix(s, mna.dense_);
-      bdense_.load_lane_rhs(s, mna.rhs_);
-    }
-    batch_ok_.assign(group_.size(), 1);
-    bdense_.factor(batch_ok_.data());
-    bool any_ok = false;
-    for (unsigned char ok : batch_ok_) any_ok |= (ok != 0);
-    if (any_ok) bdense_.solve();
-    for (std::size_t s = 0; s < group_.size(); ++s) {
-      const std::size_t i = group_[s];
-      if (batch_ok_[s] == 0) {
-        singular.add();
-        solve_ok_[i] = 0;
-        continue;
-      }
-      bdense_.store_lane_solution(s, x_new_[i]);
-      dense_solves.add();
-      batch_dense_lanes.add();
-      solve_ok_[i] = 1;
-    }
-  } else {
-    for (std::size_t g : group_) scalar_.push_back(g);
-  }
-
-  // 3. Sparse-path lanes: prepare values, partition the refactor-ready
-  //    lanes into structure classes (per-lane value streams steer threshold
-  //    pivoting, so several pivot orders can coexist in one round), and
-  //    batch each class through its own pooled SoA solver.
-  group_.clear();
-  for (std::size_t i = 0; i < nlanes; ++i) {
-    if (!state_[i].pending) continue;
-    NewtonLane& lane = lanes[i];
-    if (lane.mna->num_unknowns() <= MnaSystem::kDenseThreshold) continue;
-    MnaSystem& mna = *lane.mna;
     mna.prepare_sparse_values();
     // Irregular events run scalar: stream re-entry (cold-exact guard),
     // first/cold factor, refactoring disabled.
@@ -392,8 +339,7 @@ void BatchNewtonSolver::solve_round(std::span<NewtonLane> lanes) {
       continue;
     }
     const MnaSystem& ref = *lanes[cls.front()].mna;
-    SparseBatch* batch =
-        acquire_sparse_batch(cls.front(), lanes[cls.front()], ref, cls.size());
+    SparseBatch* batch = acquire_sparse_batch(ref, cls.size());
     if (batch == nullptr) {
       for (std::size_t g : cls) scalar_.push_back(g);
       continue;
@@ -426,7 +372,7 @@ void BatchNewtonSolver::solve_round(std::span<NewtonLane> lanes) {
     }
   }
 
-  // 4. Evicted lanes run the genuine scalar solver (deterministic order).
+  // 3. Evicted lanes run the genuine scalar solver (deterministic order).
   std::sort(scalar_.begin(), scalar_.end());
   for (std::size_t i : scalar_) {
     batch_evictions.add();

@@ -69,7 +69,7 @@ struct NewtonLane {
 /// Lockstep Newton driver over B lanes that share one circuit structure
 /// (DESIGN.md §12).  Each round assembles every active lane (full stamp on
 /// the first iteration, partial restamp after), routes structure-matched
-/// refactor-ready lanes through the batched SoA LU kernels, and applies the
+/// refactor-ready lanes through the batched SoA LU kernel, and applies the
 /// scalar per-lane Newton update.  Lanes retire as they converge without
 /// perturbing the others; irregular events — first factor of a query,
 /// stream re-entry, pattern rebuild, structure mismatch, pivot-guard
@@ -135,9 +135,7 @@ class BatchNewtonSolver {
   /// buffers already hold a structurally equal factorisation is retagged; as
   /// a last resort the LRU entry is re-adopted.  Returns nullptr when
   /// adoption fails (no factorisation / fingerprint mismatch).
-  SparseBatch* acquire_sparse_batch(std::size_t rep_lane,
-                                    const NewtonLane& lane,
-                                    const MnaSystem& ref, std::size_t lanes);
+  SparseBatch* acquire_sparse_batch(const MnaSystem& ref, std::size_t lanes);
 
   std::vector<LaneState> state_;
   std::vector<LaneMemoSet> memo_;
@@ -152,7 +150,6 @@ class BatchNewtonSolver {
   std::size_t num_classes_ = 0;
   std::vector<SparseBatch> spool_;
   std::uint64_t spool_clock_ = 0;
-  BatchedDenseLu bdense_;
 };
 
 }  // namespace mda::spice

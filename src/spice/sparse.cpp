@@ -431,18 +431,22 @@ void SparseLu::solve(std::vector<double>& b) {
 // ---------------------------------------------------------------------------
 // BatchedSparseLu
 //
-// Both kernels below replay SparseLu::refactor_impl(cold_exact=false) and
-// SparseLu::solve per lane, with the shared index streams hoisted out of the
-// lane dimension.  The bit-identity argument (DESIGN.md §12) rests on three
-// invariants the kernels maintain:
+// One refactor body and one solve body replay SparseLu::refactor_impl(
+// cold_exact=false) and SparseLu::solve per lane, with the shared index
+// streams hoisted out of the lane dimension.  They are written once over
+// W-lane GCC vectors and instantiated at W = 4 inside a target("avx2")
+// wrapper and at W = 8 inside a target("avx512f") one.  The bit-identity
+// argument (DESIGN.md §12) rests on three invariants the body maintains:
 //  * lanes never mix — every operation is elementwise over the lane axis;
 //  * each lane's arithmetic sequence (order of loads, subtractions,
-//    multiplies, divides; no FMA contraction) equals the scalar solver's;
+//    multiplies, divides) equals the scalar solver's.  The library builds
+//    with -ffp-contract=off, because GCC would otherwise fuse the vector
+//    mul+sub into an FMA wherever the target has one (AVX-512 does);
 //  * value-dependent scalar control flow is replicated per lane: the
-//    `x == 0.0` elimination/substitution skips become EQ_OQ blends, the
-//    pivot-candidate scan's `v > cand` (which skips NaNs) becomes a GT_OQ
-//    blend, and the guard's `<` comparisons use LT_OQ so a NaN pivot passes
-//    exactly as it does in the scalar code.
+//    `x == 0.0` elimination/substitution skips become == blends, the
+//    pivot-candidate scan's `v > cand` (which skips NaNs) becomes a > blend,
+//    and the guard's `<` comparisons stay false on a NaN pivot exactly as
+//    they do in the scalar code.
 // A guard failure only clears ok[lane]; the lane keeps computing (garbage)
 // so siblings are unperturbed, and the caller reruns it through the scalar
 // fallback path.
@@ -539,162 +543,103 @@ void BatchedSparseLu::store_lane_solution(std::size_t lane,
 
 void BatchedSparseLu::refactor(unsigned char* ok) {
 #if defined(__x86_64__)
-  if (stride_ % 8 == 0 && batch::use_avx512()) {
+  if (stride_ % 8 == 0 && batch::avx512_available()) {
     refactor_avx512(ok);
     return;
   }
-  if (batch::use_avx2()) {
+  if (batch::avx2_available()) {
     refactor_avx2(ok);
     return;
   }
 #endif
-  refactor_scalar(ok);
+  std::fill(ok, ok + lanes_, 0);  // no vector kernel: every lane runs scalar
 }
 
 void BatchedSparseLu::solve() {
 #if defined(__x86_64__)
-  if (stride_ % 8 == 0 && batch::use_avx512()) {
+  if (stride_ % 8 == 0 && batch::avx512_available()) {
     solve_avx512();
-    return;
-  }
-  if (batch::use_avx2()) {
+  } else if (batch::avx2_available()) {
     solve_avx2();
-    return;
   }
 #endif
-  solve_scalar();
-}
-
-void BatchedSparseLu::refactor_scalar(unsigned char* ok) {
-  const std::size_t L = lanes_;
-  const double bar = bit_exact_ ? SparseLu::threshold_pivot_ratio
-                                : SparseLu::pivot_degradation_tol;
-  std::fill(ok, ok + L, 1);
-  for (int j = 0; j < n_; ++j) {
-    const int s0 = eptr_[static_cast<std::size_t>(j)];
-    const int s1 = eptr_[static_cast<std::size_t>(j) + 1];
-    for (int s = s0; s < s1; ++s) {
-      double* wr = work_.row(
-          static_cast<std::size_t>(eorder_[static_cast<std::size_t>(s)]));
-      for (std::size_t l = 0; l < L; ++l) wr[l] = 0.0;
-    }
-    for (int k = a_colptr_[static_cast<std::size_t>(j)];
-         k < a_colptr_[static_cast<std::size_t>(j) + 1]; ++k) {
-      double* wr = work_.row(
-          static_cast<std::size_t>(a_rowidx_[static_cast<std::size_t>(k)]));
-      const double* avk = av_.row(static_cast<std::size_t>(k));
-      for (std::size_t l = 0; l < L; ++l) wr[l] = avk[l];
-    }
-    for (int s = s0; s < s1; ++s) {
-      const int r = eorder_[static_cast<std::size_t>(s)];
-      const int piv = pinv_[static_cast<std::size_t>(r)];
-      if (piv >= j) continue;
-      const double* xr = work_.row(static_cast<std::size_t>(r));
-      bool any = false;
-      for (std::size_t l = 0; l < L; ++l) any = any || xr[l] != 0.0;
-      if (!any) continue;
-      for (int k = l_colptr_[static_cast<std::size_t>(piv)];
-           k < l_colptr_[static_cast<std::size_t>(piv) + 1]; ++k) {
-        double* wu = work_.row(
-            static_cast<std::size_t>(l_rowidx_[static_cast<std::size_t>(k)]));
-        const double* lvk = lv_.row(static_cast<std::size_t>(k));
-        for (std::size_t l = 0; l < L; ++l) {
-          if (xr[l] != 0.0) wu[l] -= lvk[l] * xr[l];
-        }
-      }
-    }
-    const int prow = perm_[static_cast<std::size_t>(j)];
-    const double* pv = work_.row(static_cast<std::size_t>(prow));
-    for (std::size_t l = 0; l < L; ++l) {
-      const double pivot_abs = std::abs(pv[l]);
-      double cand_abs = 0.0;
-      for (int s = s0; s < s1; ++s) {
-        const int r = eorder_[static_cast<std::size_t>(s)];
-        if (pinv_[static_cast<std::size_t>(r)] < j) continue;
-        const double v = std::abs(work_.row(static_cast<std::size_t>(r))[l]);
-        if (v > cand_abs) cand_abs = v;
-      }
-      if (pivot_abs < 1e-300 || pivot_abs < bar * cand_abs) ok[l] = 0;
-    }
-    int lk = l_colptr_[static_cast<std::size_t>(j)];
-    int uk = u_colptr_[static_cast<std::size_t>(j)];
-    const int uend = u_colptr_[static_cast<std::size_t>(j) + 1] - 1;
-    for (int s = s0; s < s1; ++s) {
-      const int r = eorder_[static_cast<std::size_t>(s)];
-      if (r == prow) continue;
-      const int piv = pinv_[static_cast<std::size_t>(r)];
-      const double* wr = work_.row(static_cast<std::size_t>(r));
-      if (piv < j) {
-        double* u = uv_.row(static_cast<std::size_t>(uk++));
-        for (std::size_t l = 0; l < L; ++l) u[l] = wr[l];
-      } else {
-        double* lvr = lv_.row(static_cast<std::size_t>(lk++));
-        for (std::size_t l = 0; l < L; ++l) lvr[l] = wr[l] / pv[l];
-      }
-    }
-    double* ud = uv_.row(static_cast<std::size_t>(uend));
-    for (std::size_t l = 0; l < L; ++l) ud[l] = pv[l];
-  }
-}
-
-void BatchedSparseLu::solve_scalar() {
-  const std::size_t L = lanes_;
-  const auto n = static_cast<std::size_t>(n_);
-  std::copy(b_.data(), b_.data() + n * stride_, w_.data());
-  for (int j = 0; j < n_; ++j) {
-    const int prow = perm_[static_cast<std::size_t>(j)];
-    const double* wj = w_.row(static_cast<std::size_t>(prow));
-    double* yj = y_.row(static_cast<std::size_t>(j));
-    bool any = false;
-    for (std::size_t l = 0; l < L; ++l) {
-      yj[l] = wj[l];
-      any = any || yj[l] != 0.0;
-    }
-    if (!any) continue;
-    for (int k = l_colptr_[static_cast<std::size_t>(j)];
-         k < l_colptr_[static_cast<std::size_t>(j) + 1]; ++k) {
-      double* wu = w_.row(
-          static_cast<std::size_t>(l_rowidx_[static_cast<std::size_t>(k)]));
-      const double* lvk = lv_.row(static_cast<std::size_t>(k));
-      for (std::size_t l = 0; l < L; ++l) {
-        if (yj[l] != 0.0) wu[l] -= lvk[l] * yj[l];
-      }
-    }
-  }
-  for (int j = n_ - 1; j >= 0; --j) {
-    const int last = u_colptr_[static_cast<std::size_t>(j) + 1] - 1;
-    const double* diag = uv_.row(static_cast<std::size_t>(last));
-    const double* yj = y_.row(static_cast<std::size_t>(j));
-    double* xj = b_.row(static_cast<std::size_t>(j));
-    bool any = false;
-    for (std::size_t l = 0; l < L; ++l) {
-      xj[l] = yj[l] / diag[l];
-      any = any || xj[l] != 0.0;
-    }
-    if (!any) continue;
-    for (int k = u_colptr_[static_cast<std::size_t>(j)]; k < last; ++k) {
-      double* yu = y_.row(
-          static_cast<std::size_t>(u_rowidx_[static_cast<std::size_t>(k)]));
-      const double* uvk = uv_.row(static_cast<std::size_t>(k));
-      for (std::size_t l = 0; l < L; ++l) {
-        if (xj[l] != 0.0) yu[l] -= uvk[l] * xj[l];
-      }
-    }
-  }
 }
 
 #if defined(__x86_64__)
 
-__attribute__((target("avx2"))) void BatchedSparseLu::refactor_avx2(
+namespace {
+
+/// W doubles as one GCC vector, unaligned and alias-safe so a block of an
+/// SoA row is read and written in place.
+template <std::size_t W>
+using Lanes [[gnu::vector_size(W * sizeof(double)),
+              gnu::aligned(sizeof(double)), gnu::may_alias]] = double;
+/// Result of comparing two Lanes: all ones in a lane where true.
+template <std::size_t W>
+using LaneMask [[gnu::vector_size(W * sizeof(double))]] = long long;
+
+template <std::size_t W>
+[[gnu::always_inline]] inline Lanes<W>& lanes_at(double* p) {
+  return *reinterpret_cast<Lanes<W>*>(p);
+}
+
+template <std::size_t W>
+[[gnu::always_inline]] inline const Lanes<W>& lanes_at(const double* p) {
+  return *reinterpret_cast<const Lanes<W>*>(p);
+}
+
+/// One bit per lane in one instruction (a loop over the lanes compiles to
+/// a chain of lane extracts).  Only valid once inlined into a wrapper whose
+/// target enables the builtin.
+template <std::size_t W>
+[[gnu::always_inline]] inline unsigned lane_bits(const LaneMask<W>& m) {
+  if constexpr (W == 4) {
+    return static_cast<unsigned>(
+        __builtin_ia32_movmskpd256(reinterpret_cast<__v4df>(m)));
+  } else {
+    static_assert(W == 8);
+    return __builtin_ia32_ptestmq512(m, m, 0xFF);
+  }
+}
+
+template <std::size_t W>
+inline constexpr unsigned kAllLanes = (1u << W) - 1;
+
+/// The column update shared by elimination and both substitutions: row
+/// idx[k] of `dst` -= row k of `vals` times the multiplier row `x`, for k in
+/// [k0, k1).  Block-outer, k-inner: the multiplier and its zero mask are
+/// loop-invariant over the column, so they are hoisted per block.  Lanes
+/// whose multiplier is zero keep their value (the scalar `x == 0.0` skip;
+/// == is false on NaN there too), and an all-zero block is skipped outright.
+template <std::size_t W>
+[[gnu::always_inline]] inline void column_update(batch::SoaBuffer& dst,
+                                                 const std::vector<int>& idx,
+                                                 const batch::SoaBuffer& vals,
+                                                 int k0, int k1,
+                                                 const double* x) {
+  for (std::size_t v = 0; v < dst.stride(); v += W) {
+    const Lanes<W> xv = lanes_at<W>(x + v);
+    const LaneMask<W> skip = xv == 0.0;
+    if (lane_bits<W>(skip) == kAllLanes<W>) continue;
+    for (int k = k0; k < k1; ++k) {
+      const auto ku = static_cast<std::size_t>(k);
+      Lanes<W>& d =
+          lanes_at<W>(dst.row(static_cast<std::size_t>(idx[ku])) + v);
+      // Separate mul and sub, as in the scalar solver.
+      d = skip ? d : d - lanes_at<W>(vals.row(ku) + v) * xv;
+    }
+  }
+}
+
+}  // namespace
+
+template <std::size_t W>
+[[gnu::always_inline]] inline void BatchedSparseLu::refactor_lanes(
     unsigned char* ok) {
   const std::size_t S = stride_;
   const double bar = bit_exact_ ? SparseLu::threshold_pivot_ratio
                                 : SparseLu::pivot_degradation_tol;
-  const __m256d vzero = _mm256_setzero_pd();
-  const __m256d vabs =
-      _mm256_castsi256_pd(_mm256_set1_epi64x(0x7fffffffffffffffLL));
-  const __m256d vtiny = _mm256_set1_pd(1e-300);
-  const __m256d vbar = _mm256_set1_pd(bar);
+  const long long abs_bits = 0x7fffffffffffffffLL;
   std::fill(ok, ok + lanes_, 1);
   for (int j = 0; j < n_; ++j) {
     const int s0 = eptr_[static_cast<std::size_t>(j)];
@@ -702,72 +647,48 @@ __attribute__((target("avx2"))) void BatchedSparseLu::refactor_avx2(
     for (int s = s0; s < s1; ++s) {
       double* wr = work_.row(
           static_cast<std::size_t>(eorder_[static_cast<std::size_t>(s)]));
-      for (std::size_t v = 0; v < S; v += 4) _mm256_storeu_pd(wr + v, vzero);
+      for (std::size_t v = 0; v < S; v += W) lanes_at<W>(wr + v) = Lanes<W>{};
     }
     for (int k = a_colptr_[static_cast<std::size_t>(j)];
          k < a_colptr_[static_cast<std::size_t>(j) + 1]; ++k) {
       double* wr = work_.row(
           static_cast<std::size_t>(a_rowidx_[static_cast<std::size_t>(k)]));
       const double* avk = av_.row(static_cast<std::size_t>(k));
-      for (std::size_t v = 0; v < S; v += 4) {
-        _mm256_storeu_pd(wr + v, _mm256_loadu_pd(avk + v));
+      for (std::size_t v = 0; v < S; v += W) {
+        lanes_at<W>(wr + v) = lanes_at<W>(avk + v);
       }
     }
     for (int s = s0; s < s1; ++s) {
       const int r = eorder_[static_cast<std::size_t>(s)];
       const int piv = pinv_[static_cast<std::size_t>(r)];
       if (piv >= j) continue;
-      const double* xr = work_.row(static_cast<std::size_t>(r));
-      const int k0 = l_colptr_[static_cast<std::size_t>(piv)];
-      const int k1 = l_colptr_[static_cast<std::size_t>(piv) + 1];
-      // Block-outer, k-inner: the multiplier xv and its zero mask are
-      // loop-invariant over L's column, so hoist them per 4-lane block.  A
-      // block whose lanes are all zero is skipped outright — every update it
-      // would issue is a blended no-op, the vector analog of the scalar
-      // per-lane `x == 0.0` skip, so per-lane arithmetic is unchanged.
-      for (std::size_t v = 0; v < S; v += 4) {
-        const __m256d xv = _mm256_loadu_pd(xr + v);
-        const __m256d eq = _mm256_cmp_pd(xv, vzero, _CMP_EQ_OQ);
-        if (_mm256_movemask_pd(eq) == 0xF) continue;
-        for (int k = k0; k < k1; ++k) {
-          double* wu =
-              work_.row(
-                  static_cast<std::size_t>(
-                      l_rowidx_[static_cast<std::size_t>(k)])) +
-              v;
-          const __m256d wv = _mm256_loadu_pd(wu);
-          // Separate mul+sub (no FMA): the scalar solver contracts nothing.
-          const __m256d upd = _mm256_sub_pd(
-              wv, _mm256_mul_pd(
-                      _mm256_loadu_pd(lv_.row(static_cast<std::size_t>(k)) + v),
-                      xv));
-          _mm256_storeu_pd(wu, _mm256_blendv_pd(upd, wv, eq));
-        }
-      }
+      column_update<W>(work_, l_rowidx_, lv_,
+                       l_colptr_[static_cast<std::size_t>(piv)],
+                       l_colptr_[static_cast<std::size_t>(piv) + 1],
+                       work_.row(static_cast<std::size_t>(r)));
     }
     const int prow = perm_[static_cast<std::size_t>(j)];
     const double* pv = work_.row(static_cast<std::size_t>(prow));
-    for (std::size_t v = 0; v < S; v += 4) {
-      const __m256d pabs = _mm256_and_pd(_mm256_loadu_pd(pv + v), vabs);
-      __m256d cand = vzero;
+    for (std::size_t v = 0; v < S; v += W) {
+      const auto pabs = reinterpret_cast<Lanes<W>>(
+          reinterpret_cast<LaneMask<W>>(lanes_at<W>(pv + v)) & abs_bits);
+      Lanes<W> cand{};
       for (int s = s0; s < s1; ++s) {
         const int r = eorder_[static_cast<std::size_t>(s)];
         if (pinv_[static_cast<std::size_t>(r)] < j) continue;
-        const __m256d wa = _mm256_and_pd(
-            _mm256_loadu_pd(work_.row(static_cast<std::size_t>(r)) + v), vabs);
-        // Strict > with GT_OQ: false on NaN, exactly like the scalar scan.
-        const __m256d gt = _mm256_cmp_pd(wa, cand, _CMP_GT_OQ);
-        cand = _mm256_blendv_pd(cand, wa, gt);
+        const auto wa = reinterpret_cast<Lanes<W>>(
+            reinterpret_cast<LaneMask<W>>(
+                lanes_at<W>(work_.row(static_cast<std::size_t>(r)) + v)) &
+            abs_bits);
+        // Strict >: false on NaN, exactly like the scalar scan.
+        cand = wa > cand ? wa : cand;
       }
-      // LT_OQ is false on a NaN pivot, matching scalar `NaN < x == false`.
-      const __m256d fail =
-          _mm256_or_pd(_mm256_cmp_pd(pabs, vtiny, _CMP_LT_OQ),
-                       _mm256_cmp_pd(pabs, _mm256_mul_pd(vbar, cand),
-                                     _CMP_LT_OQ));
-      const int m = _mm256_movemask_pd(fail);
-      for (std::size_t bit = 0; bit < 4; ++bit) {
+      // < is false on a NaN pivot, matching scalar `NaN < x == false`.
+      const unsigned fail =
+          lane_bits<W>(pabs < 1e-300) | lane_bits<W>(pabs < bar * cand);
+      for (std::size_t bit = 0; bit < W; ++bit) {
         const std::size_t lane = v + bit;
-        if (lane < lanes_ && ((m >> bit) & 1) != 0) ok[lane] = 0;
+        if (lane < lanes_ && ((fail >> bit) & 1u) != 0) ok[lane] = 0;
       }
     }
     int lk = l_colptr_[static_cast<std::size_t>(j)];
@@ -780,267 +701,67 @@ __attribute__((target("avx2"))) void BatchedSparseLu::refactor_avx2(
       const double* wr = work_.row(static_cast<std::size_t>(r));
       if (piv < j) {
         double* u = uv_.row(static_cast<std::size_t>(uk++));
-        for (std::size_t v = 0; v < S; v += 4) {
-          _mm256_storeu_pd(u + v, _mm256_loadu_pd(wr + v));
+        for (std::size_t v = 0; v < S; v += W) {
+          lanes_at<W>(u + v) = lanes_at<W>(wr + v);
         }
       } else {
         double* lvr = lv_.row(static_cast<std::size_t>(lk++));
-        for (std::size_t v = 0; v < S; v += 4) {
-          _mm256_storeu_pd(lvr + v, _mm256_div_pd(_mm256_loadu_pd(wr + v),
-                                                  _mm256_loadu_pd(pv + v)));
+        for (std::size_t v = 0; v < S; v += W) {
+          lanes_at<W>(lvr + v) = lanes_at<W>(wr + v) / lanes_at<W>(pv + v);
         }
       }
     }
     double* ud = uv_.row(static_cast<std::size_t>(uend));
-    for (std::size_t v = 0; v < S; v += 4) {
-      _mm256_storeu_pd(ud + v, _mm256_loadu_pd(pv + v));
+    for (std::size_t v = 0; v < S; v += W) {
+      lanes_at<W>(ud + v) = lanes_at<W>(pv + v);
     }
   }
 }
 
-__attribute__((target("avx2"))) void BatchedSparseLu::solve_avx2() {
+template <std::size_t W>
+[[gnu::always_inline]] inline void BatchedSparseLu::solve_lanes() {
   const std::size_t S = stride_;
-  const auto n = static_cast<std::size_t>(n_);
-  const __m256d vzero = _mm256_setzero_pd();
-  std::copy(b_.data(), b_.data() + n * S, w_.data());
+  std::copy(b_.data(), b_.data() + static_cast<std::size_t>(n_) * S,
+            w_.data());
   for (int j = 0; j < n_; ++j) {
-    const int prow = perm_[static_cast<std::size_t>(j)];
-    const double* wj = w_.row(static_cast<std::size_t>(prow));
+    const double* wj =
+        w_.row(static_cast<std::size_t>(perm_[static_cast<std::size_t>(j)]));
     double* yj = y_.row(static_cast<std::size_t>(j));
-    bool allz = true;
-    for (std::size_t v = 0; v < S; v += 4) {
-      const __m256d yv = _mm256_loadu_pd(wj + v);
-      _mm256_storeu_pd(yj + v, yv);
-      allz = allz &&
-             _mm256_movemask_pd(_mm256_cmp_pd(yv, vzero, _CMP_EQ_OQ)) == 0xF;
+    for (std::size_t v = 0; v < S; v += W) {
+      lanes_at<W>(yj + v) = lanes_at<W>(wj + v);
     }
-    if (allz) continue;
-    const int k0 = l_colptr_[static_cast<std::size_t>(j)];
-    const int k1 = l_colptr_[static_cast<std::size_t>(j) + 1];
-    for (std::size_t v = 0; v < S; v += 4) {
-      const __m256d yv = _mm256_loadu_pd(yj + v);
-      const __m256d eq = _mm256_cmp_pd(yv, vzero, _CMP_EQ_OQ);
-      if (_mm256_movemask_pd(eq) == 0xF) continue;
-      for (int k = k0; k < k1; ++k) {
-        double* wu =
-            w_.row(static_cast<std::size_t>(
-                l_rowidx_[static_cast<std::size_t>(k)])) +
-            v;
-        const __m256d wv = _mm256_loadu_pd(wu);
-        const __m256d upd = _mm256_sub_pd(
-            wv, _mm256_mul_pd(
-                    _mm256_loadu_pd(lv_.row(static_cast<std::size_t>(k)) + v),
-                    yv));
-        _mm256_storeu_pd(wu, _mm256_blendv_pd(upd, wv, eq));
-      }
-    }
+    column_update<W>(w_, l_rowidx_, lv_, l_colptr_[static_cast<std::size_t>(j)],
+                     l_colptr_[static_cast<std::size_t>(j) + 1], yj);
   }
   for (int j = n_ - 1; j >= 0; --j) {
     const int last = u_colptr_[static_cast<std::size_t>(j) + 1] - 1;
     const double* diag = uv_.row(static_cast<std::size_t>(last));
     const double* yj = y_.row(static_cast<std::size_t>(j));
     double* xj = b_.row(static_cast<std::size_t>(j));
-    bool allz = true;
-    for (std::size_t v = 0; v < S; v += 4) {
-      const __m256d xv =
-          _mm256_div_pd(_mm256_loadu_pd(yj + v), _mm256_loadu_pd(diag + v));
-      _mm256_storeu_pd(xj + v, xv);
-      allz = allz &&
-             _mm256_movemask_pd(_mm256_cmp_pd(xv, vzero, _CMP_EQ_OQ)) == 0xF;
+    for (std::size_t v = 0; v < S; v += W) {
+      lanes_at<W>(xj + v) = lanes_at<W>(yj + v) / lanes_at<W>(diag + v);
     }
-    if (allz) continue;
-    const int k0 = u_colptr_[static_cast<std::size_t>(j)];
-    for (std::size_t v = 0; v < S; v += 4) {
-      const __m256d xv = _mm256_loadu_pd(xj + v);
-      const __m256d eq = _mm256_cmp_pd(xv, vzero, _CMP_EQ_OQ);
-      if (_mm256_movemask_pd(eq) == 0xF) continue;
-      for (int k = k0; k < last; ++k) {
-        double* yu =
-            y_.row(static_cast<std::size_t>(
-                u_rowidx_[static_cast<std::size_t>(k)])) +
-            v;
-        const __m256d yv = _mm256_loadu_pd(yu);
-        const __m256d upd = _mm256_sub_pd(
-            yv, _mm256_mul_pd(
-                    _mm256_loadu_pd(uv_.row(static_cast<std::size_t>(k)) + v),
-                    xv));
-        _mm256_storeu_pd(yu, _mm256_blendv_pd(upd, yv, eq));
-      }
-    }
+    column_update<W>(y_, u_rowidx_, uv_, u_colptr_[static_cast<std::size_t>(j)],
+                     last, xj);
   }
+}
+
+__attribute__((target("avx2"))) void BatchedSparseLu::refactor_avx2(
+    unsigned char* ok) {
+  refactor_lanes<4>(ok);
+}
+
+__attribute__((target("avx2"))) void BatchedSparseLu::solve_avx2() {
+  solve_lanes<4>();
 }
 
 __attribute__((target("avx512f"))) void BatchedSparseLu::refactor_avx512(
     unsigned char* ok) {
-  const std::size_t S = stride_;
-  const double bar = bit_exact_ ? SparseLu::threshold_pivot_ratio
-                                : SparseLu::pivot_degradation_tol;
-  const __m512d vzero = _mm512_setzero_pd();
-  const __m512d vtiny = _mm512_set1_pd(1e-300);
-  const __m512d vbar = _mm512_set1_pd(bar);
-  std::fill(ok, ok + lanes_, 1);
-  for (int j = 0; j < n_; ++j) {
-    const int s0 = eptr_[static_cast<std::size_t>(j)];
-    const int s1 = eptr_[static_cast<std::size_t>(j) + 1];
-    for (int s = s0; s < s1; ++s) {
-      double* wr = work_.row(
-          static_cast<std::size_t>(eorder_[static_cast<std::size_t>(s)]));
-      for (std::size_t v = 0; v < S; v += 8) _mm512_storeu_pd(wr + v, vzero);
-    }
-    for (int k = a_colptr_[static_cast<std::size_t>(j)];
-         k < a_colptr_[static_cast<std::size_t>(j) + 1]; ++k) {
-      double* wr = work_.row(
-          static_cast<std::size_t>(a_rowidx_[static_cast<std::size_t>(k)]));
-      const double* avk = av_.row(static_cast<std::size_t>(k));
-      for (std::size_t v = 0; v < S; v += 8) {
-        _mm512_storeu_pd(wr + v, _mm512_loadu_pd(avk + v));
-      }
-    }
-    for (int s = s0; s < s1; ++s) {
-      const int r = eorder_[static_cast<std::size_t>(s)];
-      const int piv = pinv_[static_cast<std::size_t>(r)];
-      if (piv >= j) continue;
-      const double* xr = work_.row(static_cast<std::size_t>(r));
-      const int k0 = l_colptr_[static_cast<std::size_t>(piv)];
-      const int k1 = l_colptr_[static_cast<std::size_t>(piv) + 1];
-      for (std::size_t v = 0; v < S; v += 8) {
-        const __m512d xv = _mm512_loadu_pd(xr + v);
-        // EQ_OQ false on NaN, like the scalar `x == 0.0`; a masked subtract
-        // leaves skipped lanes untouched (the blend in the 256-bit kernel).
-        const __mmask8 keq = _mm512_cmp_pd_mask(xv, vzero, _CMP_EQ_OQ);
-        if (keq == 0xFF) continue;
-        const auto knz = static_cast<__mmask8>(~keq);
-        for (int k = k0; k < k1; ++k) {
-          double* wu =
-              work_.row(
-                  static_cast<std::size_t>(
-                      l_rowidx_[static_cast<std::size_t>(k)])) +
-              v;
-          const __m512d wv = _mm512_loadu_pd(wu);
-          // Separate mul then masked sub (no FMA), as in the scalar solver.
-          const __m512d prod = _mm512_mul_pd(
-              _mm512_loadu_pd(lv_.row(static_cast<std::size_t>(k)) + v), xv);
-          _mm512_storeu_pd(wu, _mm512_mask_sub_pd(wv, knz, wv, prod));
-        }
-      }
-    }
-    const int prow = perm_[static_cast<std::size_t>(j)];
-    const double* pv = work_.row(static_cast<std::size_t>(prow));
-    for (std::size_t v = 0; v < S; v += 8) {
-      const __m512d pabs = _mm512_abs_pd(_mm512_loadu_pd(pv + v));
-      __m512d cand = vzero;
-      for (int s = s0; s < s1; ++s) {
-        const int r = eorder_[static_cast<std::size_t>(s)];
-        if (pinv_[static_cast<std::size_t>(r)] < j) continue;
-        const __m512d wa = _mm512_abs_pd(
-            _mm512_loadu_pd(work_.row(static_cast<std::size_t>(r)) + v));
-        // Strict > with GT_OQ: false on NaN, exactly like the scalar scan.
-        const __mmask8 kgt = _mm512_cmp_pd_mask(wa, cand, _CMP_GT_OQ);
-        cand = _mm512_mask_blend_pd(kgt, cand, wa);
-      }
-      // LT_OQ is false on a NaN pivot, matching scalar `NaN < x == false`.
-      const __mmask8 kfail = static_cast<__mmask8>(
-          _mm512_cmp_pd_mask(pabs, vtiny, _CMP_LT_OQ) |
-          _mm512_cmp_pd_mask(pabs, _mm512_mul_pd(vbar, cand), _CMP_LT_OQ));
-      for (std::size_t bit = 0; bit < 8; ++bit) {
-        const std::size_t lane = v + bit;
-        if (lane < lanes_ && ((kfail >> bit) & 1) != 0) ok[lane] = 0;
-      }
-    }
-    int lk = l_colptr_[static_cast<std::size_t>(j)];
-    int uk = u_colptr_[static_cast<std::size_t>(j)];
-    const int uend = u_colptr_[static_cast<std::size_t>(j) + 1] - 1;
-    for (int s = s0; s < s1; ++s) {
-      const int r = eorder_[static_cast<std::size_t>(s)];
-      if (r == prow) continue;
-      const int piv = pinv_[static_cast<std::size_t>(r)];
-      const double* wr = work_.row(static_cast<std::size_t>(r));
-      if (piv < j) {
-        double* u = uv_.row(static_cast<std::size_t>(uk++));
-        for (std::size_t v = 0; v < S; v += 8) {
-          _mm512_storeu_pd(u + v, _mm512_loadu_pd(wr + v));
-        }
-      } else {
-        double* lvr = lv_.row(static_cast<std::size_t>(lk++));
-        for (std::size_t v = 0; v < S; v += 8) {
-          _mm512_storeu_pd(lvr + v, _mm512_div_pd(_mm512_loadu_pd(wr + v),
-                                                  _mm512_loadu_pd(pv + v)));
-        }
-      }
-    }
-    double* ud = uv_.row(static_cast<std::size_t>(uend));
-    for (std::size_t v = 0; v < S; v += 8) {
-      _mm512_storeu_pd(ud + v, _mm512_loadu_pd(pv + v));
-    }
-  }
+  refactor_lanes<8>(ok);
 }
 
 __attribute__((target("avx512f"))) void BatchedSparseLu::solve_avx512() {
-  const std::size_t S = stride_;
-  const auto n = static_cast<std::size_t>(n_);
-  const __m512d vzero = _mm512_setzero_pd();
-  std::copy(b_.data(), b_.data() + n * S, w_.data());
-  for (int j = 0; j < n_; ++j) {
-    const int prow = perm_[static_cast<std::size_t>(j)];
-    const double* wj = w_.row(static_cast<std::size_t>(prow));
-    double* yj = y_.row(static_cast<std::size_t>(j));
-    bool allz = true;
-    for (std::size_t v = 0; v < S; v += 8) {
-      const __m512d yv = _mm512_loadu_pd(wj + v);
-      _mm512_storeu_pd(yj + v, yv);
-      allz = allz && _mm512_cmp_pd_mask(yv, vzero, _CMP_EQ_OQ) == 0xFF;
-    }
-    if (allz) continue;
-    const int k0 = l_colptr_[static_cast<std::size_t>(j)];
-    const int k1 = l_colptr_[static_cast<std::size_t>(j) + 1];
-    for (std::size_t v = 0; v < S; v += 8) {
-      const __m512d yv = _mm512_loadu_pd(yj + v);
-      const __mmask8 keq = _mm512_cmp_pd_mask(yv, vzero, _CMP_EQ_OQ);
-      if (keq == 0xFF) continue;
-      const auto knz = static_cast<__mmask8>(~keq);
-      for (int k = k0; k < k1; ++k) {
-        double* wu =
-            w_.row(static_cast<std::size_t>(
-                l_rowidx_[static_cast<std::size_t>(k)])) +
-            v;
-        const __m512d wv = _mm512_loadu_pd(wu);
-        const __m512d prod = _mm512_mul_pd(
-            _mm512_loadu_pd(lv_.row(static_cast<std::size_t>(k)) + v), yv);
-        _mm512_storeu_pd(wu, _mm512_mask_sub_pd(wv, knz, wv, prod));
-      }
-    }
-  }
-  for (int j = n_ - 1; j >= 0; --j) {
-    const int last = u_colptr_[static_cast<std::size_t>(j) + 1] - 1;
-    const double* diag = uv_.row(static_cast<std::size_t>(last));
-    const double* yj = y_.row(static_cast<std::size_t>(j));
-    double* xj = b_.row(static_cast<std::size_t>(j));
-    bool allz = true;
-    for (std::size_t v = 0; v < S; v += 8) {
-      const __m512d xv =
-          _mm512_div_pd(_mm512_loadu_pd(yj + v), _mm512_loadu_pd(diag + v));
-      _mm512_storeu_pd(xj + v, xv);
-      allz = allz && _mm512_cmp_pd_mask(xv, vzero, _CMP_EQ_OQ) == 0xFF;
-    }
-    if (allz) continue;
-    const int k0 = u_colptr_[static_cast<std::size_t>(j)];
-    for (std::size_t v = 0; v < S; v += 8) {
-      const __m512d xv = _mm512_loadu_pd(xj + v);
-      const __mmask8 keq = _mm512_cmp_pd_mask(xv, vzero, _CMP_EQ_OQ);
-      if (keq == 0xFF) continue;
-      const auto knz = static_cast<__mmask8>(~keq);
-      for (int k = k0; k < last; ++k) {
-        double* yu =
-            y_.row(static_cast<std::size_t>(
-                u_rowidx_[static_cast<std::size_t>(k)])) +
-            v;
-        const __m512d yv = _mm512_loadu_pd(yu);
-        const __m512d prod = _mm512_mul_pd(
-            _mm512_loadu_pd(uv_.row(static_cast<std::size_t>(k)) + v), xv);
-        _mm512_storeu_pd(yu, _mm512_mask_sub_pd(yv, knz, yv, prod));
-      }
-    }
-  }
+  solve_lanes<8>();
 }
 
 #endif  // defined(__x86_64__)

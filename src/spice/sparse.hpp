@@ -165,13 +165,14 @@ class SparseLu {
 ///
 /// Bit-identity contract: for every lane, refactor()'s ok verdict and — when
 /// ok — the solution read back by store_lane_solution() are bit-identical to
-/// running SparseLu::refactor() + solve() on that lane alone.  Both kernels
-/// (AVX2 and portable scalar, chosen by batch::use_avx2()) execute the exact
-/// per-lane arithmetic sequence of the scalar solver: lanes never mix, FP
-/// contraction is off, and scalar control flow that depends on values
-/// (zero-entry skips, the pivot-candidate max scan, the degradation guard)
-/// is replicated with IEEE-ordered compares and blends whose NaN behaviour
-/// matches the scalar comparisons.
+/// running SparseLu::refactor() + solve() on that lane alone.  One kernel
+/// body, run 8 lanes per op on AVX-512 (stride a multiple of 8) and 4 on
+/// AVX2 — picked from the CPU alone — executes the exact per-lane arithmetic
+/// sequence of the scalar solver: lanes never mix, FP contraction is off (a
+/// build rule of this library), and scalar control flow that depends on
+/// values (zero-entry skips, the pivot-candidate max scan, the degradation
+/// guard) is replicated with compares and blends whose NaN behaviour matches
+/// the scalar comparisons.
 ///
 /// A lane whose guard fails is reported via ok and computes garbage from
 /// that column on (lanes are independent, so siblings are unperturbed); the
@@ -212,7 +213,8 @@ class BatchedSparseLu {
 
   /// Batched refactor of all lanes; ok[lane] matches what
   /// SparseLu::refactor() would return for that lane's values (with the
-  /// bit-exact bar adopted from the reference).
+  /// bit-exact bar adopted from the reference).  On a CPU without AVX2 there
+  /// is no kernel and every lane reports failure, so callers run it scalar.
   void refactor(unsigned char* ok);
 
   /// Batched forward/backward solve over the staged right-hand sides.
@@ -224,15 +226,16 @@ class BatchedSparseLu {
   [[nodiscard]] std::size_t lanes() const { return lanes_; }
 
  private:
-  void refactor_scalar(unsigned char* ok);
-  void solve_scalar();
 #if defined(__x86_64__)
+  // One kernel body per operation, written over W-lane vectors; the four
+  // wrappers instantiate it at W = 4 under target("avx2") and W = 8 under
+  // target("avx512f").
+  template <std::size_t W>
+  void refactor_lanes(unsigned char* ok);
+  template <std::size_t W>
+  void solve_lanes();
   void refactor_avx2(unsigned char* ok);
   void solve_avx2();
-  // 512-bit variants: one op per 8 lanes at the same instruction count as
-  // the 256-bit kernels, chosen when the stride is a whole number of
-  // 512-bit blocks.  Same per-lane arithmetic; compares produce native
-  // masks instead of blend vectors.
   void refactor_avx512(unsigned char* ok);
   void solve_avx512();
 #endif

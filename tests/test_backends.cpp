@@ -46,20 +46,19 @@ TEST_P(WavefrontVsReference, TracksDigitalReference) {
   EXPECT_NEAR(got, ref, tol);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, WavefrontVsReference,
-    ::testing::Values(BackendCase{dist::DistanceKind::Dtw, 8},
-                      BackendCase{dist::DistanceKind::Dtw, 16},
-                      BackendCase{dist::DistanceKind::Lcs, 8},
-                      BackendCase{dist::DistanceKind::Lcs, 16},
-                      BackendCase{dist::DistanceKind::Edit, 8},
-                      BackendCase{dist::DistanceKind::Edit, 16},
-                      BackendCase{dist::DistanceKind::Hausdorff, 8},
-                      BackendCase{dist::DistanceKind::Hausdorff, 16},
-                      BackendCase{dist::DistanceKind::Hamming, 16},
-                      BackendCase{dist::DistanceKind::Hamming, 32},
-                      BackendCase{dist::DistanceKind::Manhattan, 16},
-                      BackendCase{dist::DistanceKind::Manhattan, 32}));
+// The sweeps are static tables: gtest names each case by a byte dump of its
+// BackendCase, and static storage keeps the padding after `kind` zero, so the
+// names are the same in every run (temporaries leave stack bytes there).
+const BackendCase kWavefrontCases[] = {
+    {dist::DistanceKind::Dtw, 8},        {dist::DistanceKind::Dtw, 16},
+    {dist::DistanceKind::Lcs, 8},        {dist::DistanceKind::Lcs, 16},
+    {dist::DistanceKind::Edit, 8},       {dist::DistanceKind::Edit, 16},
+    {dist::DistanceKind::Hausdorff, 8},  {dist::DistanceKind::Hausdorff, 16},
+    {dist::DistanceKind::Hamming, 16},   {dist::DistanceKind::Hamming, 32},
+    {dist::DistanceKind::Manhattan, 16}, {dist::DistanceKind::Manhattan, 32}};
+
+INSTANTIATE_TEST_SUITE_P(Sweep, WavefrontVsReference,
+                         ::testing::ValuesIn(kWavefrontCases));
 
 class BehavioralVsWavefront : public ::testing::TestWithParam<BackendCase> {};
 
@@ -83,14 +82,13 @@ TEST_P(BehavioralVsWavefront, CloseAgreement) {
               0.02 * std::abs(wf.out_volts) + 1.5e-3);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, BehavioralVsWavefront,
-    ::testing::Values(BackendCase{dist::DistanceKind::Dtw, 10},
-                      BackendCase{dist::DistanceKind::Lcs, 10},
-                      BackendCase{dist::DistanceKind::Edit, 10},
-                      BackendCase{dist::DistanceKind::Hausdorff, 10},
-                      BackendCase{dist::DistanceKind::Hamming, 20},
-                      BackendCase{dist::DistanceKind::Manhattan, 20}));
+const BackendCase kBehavioralCases[] = {
+    {dist::DistanceKind::Dtw, 10},     {dist::DistanceKind::Lcs, 10},
+    {dist::DistanceKind::Edit, 10},    {dist::DistanceKind::Hausdorff, 10},
+    {dist::DistanceKind::Hamming, 20}, {dist::DistanceKind::Manhattan, 20}};
+
+INSTANTIATE_TEST_SUITE_P(Sweep, BehavioralVsWavefront,
+                         ::testing::ValuesIn(kBehavioralCases));
 
 TEST(Encode, ScaleCompressesLargeDtwInputs) {
   AcceleratorConfig config;

@@ -1,10 +1,11 @@
 // Batch-identity differential suite for the lockstep SoA solver stack
 // (DESIGN.md §12).  The contract under test, at every layer:
 //
-//   * BatchedSparseLu / BatchedDenseLu produce, per lane, bit-identical
-//     factors/solutions and ok flags to the scalar SparseLu / DenseLu on
-//     that lane alone — including pivot-degradation guard failures, in both
-//     guard modes, and whichever kernel (AVX2 or forced-scalar) runs.
+//   * BatchedSparseLu produces, per lane, bit-identical factors/solutions
+//     and ok flags to the scalar SparseLu on that lane alone — including
+//     pivot-degradation guard failures, in both guard modes.  Widths
+//     {1, 2, 4} run the 4-lane (AVX2) kernel and width 8 the 8-lane
+//     (AVX-512) one where the CPU has it.
 //   * run_transient_lockstep is bit-identical (traces, final_x, counters)
 //     to serial TransientSimulator::run per lane — with mixed-lane early
 //     convergence and a lane falling into the Newton homotopy fallback
@@ -12,6 +13,9 @@
 //   * The batch engine's width-W lockstep stream is bit-identical to the
 //     width-1 (pre-batching) scalar stream for every kind and both
 //     structured backends, and fault plans force the scalar path verbatim.
+//   * With lockstep LU forced off (batch::set_force_scalar, the path of a
+//     CPU without AVX2) lockstep transients and batches still match serial
+//     bitwise and batch no LU at all.
 
 #include <gtest/gtest.h>
 
@@ -29,7 +33,6 @@
 #include "fault/plan.hpp"
 #include "obs/metrics.hpp"
 #include "spice/batch_state.hpp"
-#include "spice/dense.hpp"
 #include "spice/netlist.hpp"
 #include "spice/primitives.hpp"
 #include "spice/sparse.hpp"
@@ -116,7 +119,16 @@ void expect_lane_bitwise(const std::vector<double>& want,
   }
 }
 
-class SparseKernelWidths : public ::testing::TestWithParam<std::size_t> {};
+/// The kernel tests drive BatchedSparseLu directly, which has no kernel on
+/// a CPU without AVX2 (every lane reports failure there).
+class SparseKernelWidths : public ::testing::TestWithParam<std::size_t> {
+ protected:
+  void SetUp() override {
+    if (!spice::batch::avx2_available()) {
+      GTEST_SKIP() << "no vector LU kernel on this CPU";
+    }
+  }
+};
 
 TEST_P(SparseKernelWidths, BatchedRefactorSolveMatchesScalarBitwise) {
   const std::size_t lanes = GetParam();
@@ -199,94 +211,6 @@ TEST_P(SparseKernelWidths, PivotDegradationFailsSameLanesOnly) {
   EXPECT_TRUE(any_failed) << "fuzz values did not trip the guard";
 }
 
-TEST_P(SparseKernelWidths, Avx2AndScalarKernelsAgreeBitwise) {
-  const std::size_t lanes = GetParam();
-  const int n = 32;
-  const RandomSparse rs = random_sparse(n, lanes, 11);
-  spice::SparseLu ref_lu;
-  spice::CscMatrix m = rs.base;
-  ASSERT_TRUE(ref_lu.factor(m));
-
-  const bool prev_force = spice::batch::force_scalar();
-  auto run = [&](bool force_scalar) {
-    spice::batch::set_force_scalar(force_scalar);
-    spice::BatchedSparseLu batch;
-    EXPECT_TRUE(batch.adopt(ref_lu, rs.base, lanes));
-    util::Rng rng(13);
-    for (std::size_t l = 0; l < lanes; ++l) {
-      std::vector<double> b(static_cast<std::size_t>(n));
-      for (double& v : b) v = rng.uniform(-1.0, 1.0);
-      spice::CscMatrix lane_m = rs.base;
-      lane_m.values = rs.lane_values[l];
-      batch.load_lane_values(l, lane_m);
-      batch.load_lane_rhs(l, b);
-    }
-    std::vector<unsigned char> ok(lanes, 1);
-    batch.refactor(ok.data());
-    batch.solve();
-    std::vector<std::vector<double>> xs(lanes);
-    for (std::size_t l = 0; l < lanes; ++l) {
-      EXPECT_NE(ok[l], 0u);
-      batch.store_lane_solution(l, xs[l]);
-    }
-    spice::batch::set_force_scalar(prev_force);
-    return xs;
-  };
-  const auto scalar = run(true);
-  const auto autod = run(false);
-  // On hardware without AVX2 both runs take the scalar kernel and this
-  // degenerates to a determinism check; restoring the prior force flag keeps
-  // the MDA_BATCH_FORCE_SCALAR CI job in force for the remaining tests.
-  for (std::size_t l = 0; l < lanes; ++l) {
-    expect_lane_bitwise(scalar[l], autod[l], "kernel dispatch", l);
-  }
-}
-
-TEST_P(SparseKernelWidths, DenseBatchMatchesScalarIncludingSingularLane) {
-  const std::size_t lanes = GetParam();
-  const int n = 9;
-  util::Rng rng(21);
-  std::vector<std::vector<double>> mats(lanes), rhs(lanes);
-  for (std::size_t l = 0; l < lanes; ++l) {
-    mats[l].resize(static_cast<std::size_t>(n) * n);
-    for (double& v : mats[l]) v = rng.uniform(-1.0, 1.0);
-    for (int i = 0; i < n; ++i) {
-      mats[l][static_cast<std::size_t>(i) * n + i] += 4.0;
-    }
-    rhs[l].resize(static_cast<std::size_t>(n));
-    for (double& v : rhs[l]) v = rng.uniform(-1.0, 1.0);
-  }
-  // Make the last lane singular (zero row) when there is one to spare.
-  if (lanes > 1) {
-    for (int c = 0; c < n; ++c) mats[lanes - 1][static_cast<std::size_t>(c)] = 0.0;
-    for (int r = 0; r < n; ++r) {
-      mats[lanes - 1][static_cast<std::size_t>(r) * n] = 0.0;
-    }
-  }
-
-  spice::BatchedDenseLu batch;
-  batch.resize(n, lanes);
-  for (std::size_t l = 0; l < lanes; ++l) {
-    batch.load_lane_matrix(l, mats[l]);
-    batch.load_lane_rhs(l, rhs[l]);
-  }
-  std::vector<unsigned char> ok(lanes, 1);
-  batch.factor(ok.data());
-  batch.solve();
-  for (std::size_t l = 0; l < lanes; ++l) {
-    spice::DenseLu ref;
-    std::vector<double> a = mats[l];
-    const bool want_ok = ref.factor(n, a);
-    ASSERT_EQ(want_ok, ok[l] != 0) << "lane " << l;
-    if (!want_ok) continue;
-    std::vector<double> want = rhs[l];
-    ref.solve(want);
-    std::vector<double> got;
-    batch.store_lane_solution(l, got);
-    expect_lane_bitwise(want, got, "dense", l);
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(Widths, SparseKernelWidths,
                          ::testing::Values(1u, 2u, 4u, 8u));
 
@@ -364,6 +288,27 @@ std::map<std::string, std::uint64_t> spice_counters() {
   return out;
 }
 
+/// Sets batch::force_scalar for one scope, restoring the previous value.
+class ForceScalarScope {
+ public:
+  explicit ForceScalarScope(bool on) : prev_(spice::batch::force_scalar()) {
+    spice::batch::set_force_scalar(on);
+  }
+  ~ForceScalarScope() { spice::batch::set_force_scalar(prev_); }
+  ForceScalarScope(const ForceScalarScope&) = delete;
+  ForceScalarScope& operator=(const ForceScalarScope&) = delete;
+
+ private:
+  bool prev_;
+};
+
+std::uint64_t counter_value(const std::string& name) {
+  for (const obs::MetricValue& m : obs::collect()) {
+    if (m.name == name) return m.count;
+  }
+  return 0;
+}
+
 class LockstepTransientWidths : public ::testing::TestWithParam<std::size_t> {
 };
 
@@ -383,31 +328,39 @@ TEST_P(LockstepTransientWidths, MatchesSerialBitwiseWithCounterParity) {
   }
   const auto serial_counters = spice_counters();
 
-  // Lockstep on fresh identical circuits.
-  obs::reset();
-  std::vector<std::unique_ptr<LadderSim>> sims;
-  std::vector<spice::TransientSimulator*> ptrs;
-  std::vector<spice::TransientParams> lane_params(lanes, params);
-  for (std::size_t l = 0; l < lanes; ++l) {
-    sims.push_back(make_ladder(l));
-    ptrs.push_back(sims.back()->sim.get());
-  }
-  const std::vector<spice::TransientResult> got =
-      spice::run_transient_lockstep(
-          std::span<spice::TransientSimulator* const>(ptrs),
-          std::span<const spice::TransientParams>(lane_params));
-  const auto lockstep_counters = spice_counters();
+  // Lockstep on fresh identical circuits, with lockstep LU on and forced off.
+  for (const bool forced : {false, true}) {
+    SCOPED_TRACE(forced ? "lockstep LU forced off" : "lockstep LU on");
+    const ForceScalarScope force(forced);
+    obs::reset();
+    std::vector<std::unique_ptr<LadderSim>> sims;
+    std::vector<spice::TransientSimulator*> ptrs;
+    std::vector<spice::TransientParams> lane_params(lanes, params);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      sims.push_back(make_ladder(l));
+      ptrs.push_back(sims.back()->sim.get());
+    }
+    const std::vector<spice::TransientResult> got =
+        spice::run_transient_lockstep(
+            std::span<spice::TransientSimulator* const>(ptrs),
+            std::span<const spice::TransientParams>(lane_params));
+    const auto lockstep_counters = spice_counters();
 
-  for (std::size_t l = 0; l < lanes; ++l) {
-    expect_transient_bitwise(want[l], got[l], l);
-  }
-  // Every scalar-path solver counter must advance by exactly the serial
-  // amount — refactors, solves, iterations, steps, the lot.
-  for (const auto& [name, count] : serial_counters) {
-    const auto it = lockstep_counters.find(name);
-    const std::uint64_t lock_count =
-        it == lockstep_counters.end() ? 0 : it->second;
-    EXPECT_EQ(count, lock_count) << name;
+    for (std::size_t l = 0; l < lanes; ++l) {
+      expect_transient_bitwise(want[l], got[l], l);
+    }
+    // Every scalar-path solver counter must advance by exactly the serial
+    // amount — refactors, solves, iterations, steps, the lot.
+    for (const auto& [name, count] : serial_counters) {
+      const auto it = lockstep_counters.find(name);
+      const std::uint64_t lock_count =
+          it == lockstep_counters.end() ? 0 : it->second;
+      EXPECT_EQ(count, lock_count) << name;
+    }
+    const bool lockstep_lu =
+        !forced && lanes > 1 && spice::batch::avx2_available();
+    EXPECT_EQ(counter_value("mda.spice.batch_sparse_lanes") > 0,
+              lockstep_lu && obs::enabled());
   }
 }
 
@@ -548,20 +501,30 @@ TEST_P(BatchIdentityE2e, EveryWidthMatchesWidthOneBitwise) {
   const std::vector<core::ComputeResult> want =
       core::BatchEngine(w1).compute_batch(base, stream.queries);
 
-  for (const std::size_t width : {2u, 4u, 8u}) {
-    core::Accelerator acc(cfg);
-    acc.configure(spec);
-    core::BatchOptions opts;
-    opts.num_threads = 1;
-    opts.solver_batch_width = width;
-    const std::vector<core::ComputeResult> got =
-        core::BatchEngine(opts).compute_batch(acc, stream.queries);
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      expect_result_bitwise(want[i], got[i],
-                            (dist::kind_name(c.kind) + " width " +
-                             std::to_string(width))
-                                .c_str());
+  // With lockstep LU forced off every width must still be the width-1
+  // stream, and no lane may go through the batched kernel.
+  for (const bool forced : {false, true}) {
+    const ForceScalarScope force(forced);
+    const std::uint64_t batched_before =
+        counter_value("mda.spice.batch_sparse_lanes");
+    for (const std::size_t width : {2u, 4u, 8u}) {
+      core::Accelerator acc(cfg);
+      acc.configure(spec);
+      core::BatchOptions opts;
+      opts.num_threads = 1;
+      opts.solver_batch_width = width;
+      const std::vector<core::ComputeResult> got =
+          core::BatchEngine(opts).compute_batch(acc, stream.queries);
+      ASSERT_EQ(got.size(), want.size());
+      const std::string what = dist::kind_name(c.kind) + " width " +
+                               std::to_string(width) +
+                               (forced ? " forced off" : "");
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        expect_result_bitwise(want[i], got[i], what.c_str());
+      }
+    }
+    if (forced) {
+      EXPECT_EQ(counter_value("mda.spice.batch_sparse_lanes"), batched_before);
     }
   }
 }

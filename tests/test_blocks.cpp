@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "blocks/absblock.hpp"
 #include "blocks/adder.hpp"
@@ -84,6 +85,15 @@ struct SumDiffCase {
   std::vector<double> plus;
   std::vector<double> minus;
 };
+
+// Names each case by its expression, e.g. "0.3-0.1-0.05"; gtest's default
+// byte dump would print the vectors' heap pointers, which change every run.
+void PrintTo(const SumDiffCase& c, std::ostream* os) {
+  for (std::size_t i = 0; i < c.plus.size(); ++i) {
+    *os << (i > 0 ? "+" : "") << c.plus[i];
+  }
+  for (double v : c.minus) *os << "-" << v;
+}
 
 class SumDiffAmp : public ::testing::TestWithParam<SumDiffCase> {};
 

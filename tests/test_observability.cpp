@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "core/accelerator.hpp"
 #include "core/batch_engine.hpp"
 #include "obs/metrics.hpp"
 #include "obs/snapshot.hpp"
@@ -173,6 +174,47 @@ TEST_P(ObsShards, AggregatesAcrossThreads) {
 INSTANTIATE_TEST_SUITE_P(Threads, ObsShards,
                          ::testing::Values(std::size_t{1}, std::size_t{2},
                                            std::size_t{8}));
+
+// Timers measure what their names say on the lockstep path: each lane's
+// compute time carries its share of the batched FullSpice solve, and a
+// 1-thread engine runs its job inline yet still times it.
+TEST(ObsTimers, LockstepComputeTimeCoversTheSolveAndInlineJobsAreTimed) {
+  core::DistanceSpec spec;
+  spec.kind = dist::DistanceKind::Dtw;
+  core::AcceleratorConfig cfg;
+  cfg.backend = core::Backend::FullSpice;
+  core::Accelerator acc(cfg);
+  acc.configure(spec);
+  std::vector<std::vector<double>> ps, qs;
+  for (int i = 0; i < 4; ++i) {
+    const double d = 0.1 * i;
+    ps.push_back({0.2, 0.5 + d, 0.1});
+    qs.push_back({0.3 - d, 0.4, 0.6});
+  }
+  std::vector<core::BatchQuery> queries;
+  for (std::size_t i = 0; i < ps.size(); ++i) queries.push_back({ps[i], qs[i]});
+  core::BatchOptions opts;
+  opts.num_threads = 1;
+  opts.solver_batch_width = 4;
+
+  obs::reset();
+  const auto results = core::BatchEngine(opts).compute_batch(acc, queries);
+  ASSERT_EQ(results.size(), queries.size());
+  const obs::MetricsSnapshot snap = obs::MetricsSnapshot::capture();
+  const obs::MetricValue* lockstep = snap.find("mda.accel.lockstep_lanes");
+  const obs::MetricValue* compute = snap.find("mda.accel.compute_time_s");
+  const obs::MetricValue* spice = snap.find("mda.backend.fullspice_time_s");
+  const obs::MetricValue* job = snap.find("mda.batch.job_time_s");
+  ASSERT_NE(lockstep, nullptr);
+  ASSERT_NE(compute, nullptr);
+  ASSERT_NE(spice, nullptr);
+  ASSERT_NE(job, nullptr);
+  EXPECT_EQ(lockstep->count, queries.size());
+  EXPECT_EQ(compute->count, queries.size());
+  EXPECT_GE(compute->sum, spice->sum);
+  EXPECT_EQ(job->count, 1u);
+  EXPECT_GE(job->sum, compute->sum);
+}
 
 TEST(ObsSnapshot, JsonRoundTrip) {
   obs::reset();
