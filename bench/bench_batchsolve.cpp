@@ -34,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "core/accelerator.hpp"
 #include "core/backend.hpp"
 #include "core/batch_engine.hpp"
@@ -255,20 +256,11 @@ KernelRun run_kernel(int n, std::size_t width, int rounds) {
   return run;
 }
 
-long flag_num(int argc, char** argv, const char* name, long fallback) {
-  const std::string prefix = std::string("--") + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind(prefix, 0) == 0) return std::stol(arg.substr(prefix.size()));
-  }
-  return fallback;
-}
-
 int run_json_bench(const std::string& path, int argc, char** argv) {
   const auto queries =
-      static_cast<std::size_t>(flag_num(argc, argv, "queries", 100));
+      static_cast<std::size_t>(bench::flag_value(argc, argv, "queries", 100));
   const auto length =
-      static_cast<std::size_t>(flag_num(argc, argv, "length", 4));
+      static_cast<std::size_t>(bench::flag_value(argc, argv, "length", 4));
 
   bool all_identical = true;
   double scalar_total = 0.0;
@@ -278,59 +270,64 @@ int run_json_bench(const std::string& path, int argc, char** argv) {
     std::fprintf(stderr, "[bench_batchsolve] cannot open %s\n", path.c_str());
     return 1;
   }
-  out << "{\n"
-      << "  \"bench\": \"batch_solver\",\n"
-      << "  \"scenario\": {\n"
-      << "    \"shape\": \"knn\",\n"
-      << "    \"backend\": \"fullspice\",\n"
-      << "    \"num_threads\": 1,\n"
-      << "    \"queries\": " << queries << ",\n"
-      << "    \"length\": " << length << "\n"
-      << "  },\n"
-      << "  \"kinds\": {\n";
-  std::size_t k = 0;
+  bench::JsonWriter w(out);
+  w.begin_object();
+  w.field("bench", "batch_solver");
+  w.begin_object("scenario");
+  w.field("shape", "knn");
+  w.field("backend", "fullspice");
+  w.field("num_threads", 1);
+  w.field("queries", queries);
+  w.field("length", length);
+  w.end();
+  w.begin_object("kinds");
   for (const dist::DistanceKind kind : dist::kAllKinds) {
     std::fprintf(stderr, "[bench_batchsolve] %s (%zu queries, length %zu)\n",
                  dist::kind_name(kind).c_str(), queries, length);
     const KindRun run = run_kind(kind, queries, length);
     scalar_total += run.scalar_s;
-    out << "    \"" << dist::kind_name(kind) << "\": {"
-        << "\"scalar_seconds\": " << run.scalar_s << ", \"widths\": {";
-    for (std::size_t w = 0; w < std::size(kWidths); ++w) {
-      const WidthRun& wr = run.widths[w];
-      width_totals[w] += wr.seconds;
+    w.begin_object(dist::kind_name(kind), /*one_line=*/true);
+    w.field("scalar_seconds", run.scalar_s);
+    w.begin_object("widths");
+    for (std::size_t i = 0; i < std::size(kWidths); ++i) {
+      const WidthRun& wr = run.widths[i];
+      width_totals[i] += wr.seconds;
       all_identical = all_identical && wr.bit_identical;
-      const double speedup = wr.seconds > 0.0 ? run.scalar_s / wr.seconds : 0.0;
-      out << "\"" << kWidths[w] << "\": {\"seconds\": " << wr.seconds
-          << ", \"speedup\": " << speedup << ", \"bit_identical\": "
-          << (wr.bit_identical ? "true" : "false") << "}"
-          << (w + 1 < std::size(kWidths) ? ", " : "");
+      w.begin_object(std::to_string(kWidths[i]));
+      w.field("seconds", wr.seconds);
+      w.field("speedup", wr.seconds > 0.0 ? run.scalar_s / wr.seconds : 0.0);
+      w.field("bit_identical", wr.bit_identical);
+      w.end();
     }
-    out << "}}" << (++k < std::size(dist::kAllKinds) ? ",\n" : "\n");
+    w.end().end();
   }
-  out << "  },\n"
-      << "  \"scalar_seconds\": " << scalar_total << ",\n"
-      << "  \"widths\": {";
-  for (std::size_t w = 0; w < std::size(kWidths); ++w) {
+  w.end();
+  w.field("scalar_seconds", scalar_total);
+  w.begin_object("widths", /*one_line=*/true);
+  for (std::size_t i = 0; i < std::size(kWidths); ++i) {
     const double speedup =
-        width_totals[w] > 0.0 ? scalar_total / width_totals[w] : 0.0;
-    out << "\"" << kWidths[w] << "\": {\"seconds\": " << width_totals[w]
-        << ", \"speedup\": " << speedup << "}"
-        << (w + 1 < std::size(kWidths) ? ", " : "");
+        width_totals[i] > 0.0 ? scalar_total / width_totals[i] : 0.0;
+    w.begin_object(std::to_string(kWidths[i]));
+    w.field("seconds", width_totals[i]);
+    w.field("speedup", speedup);
+    w.end();
     std::fprintf(stderr, "[bench_batchsolve] width %zu: %.2fs (%.2fx)\n",
-                 kWidths[w], width_totals[w], speedup);
+                 kWidths[i], width_totals[i], speedup);
   }
-  const int kn = static_cast<int>(flag_num(argc, argv, "kernel-n", 504));
-  const int krounds =
-      static_cast<int>(flag_num(argc, argv, "kernel-rounds", 150));
-  out << "},\n"
-      << "  \"kernel\": {\"n\": " << kn << ", \"rounds\": " << krounds
-      << ", \"widths\": {";
-  for (std::size_t w = 0; w < std::size(kWidths); ++w) {
+  w.end();
+  const auto kn =
+      static_cast<int>(bench::flag_value(argc, argv, "kernel-n", 504));
+  const auto krounds =
+      static_cast<int>(bench::flag_value(argc, argv, "kernel-rounds", 150));
+  w.begin_object("kernel", /*one_line=*/true);
+  w.field("n", kn);
+  w.field("rounds", krounds);
+  w.begin_object("widths");
+  for (const std::size_t width : kWidths) {
     // Median-of-3 by speedup: single-shot wall clocks on a shared host swing
     // by 2x, and a committed baseline should not pin an outlier.
     KernelRun reps[3];
-    for (KernelRun& r : reps) r = run_kernel(kn, kWidths[w], krounds);
+    for (KernelRun& r : reps) r = run_kernel(kn, width, krounds);
     std::sort(std::begin(reps), std::end(reps),
               [](const KernelRun& a, const KernelRun& b) {
                 const double sa = a.batch_s > 0.0 ? a.scalar_s / a.batch_s : 0.0;
@@ -341,16 +338,18 @@ int run_json_bench(const std::string& path, int argc, char** argv) {
     all_identical = all_identical && reps[0].bit_identical &&
                     reps[1].bit_identical && reps[2].bit_identical;
     const double speedup = kr.batch_s > 0.0 ? kr.scalar_s / kr.batch_s : 0.0;
-    out << "\"" << kWidths[w] << "\": {\"scalar_seconds\": " << kr.scalar_s
-        << ", \"batch_seconds\": " << kr.batch_s << ", \"speedup\": " << speedup
-        << ", \"bit_identical\": " << (kr.bit_identical ? "true" : "false")
-        << "}" << (w + 1 < std::size(kWidths) ? ", " : "");
+    w.begin_object(std::to_string(width));
+    w.field("scalar_seconds", kr.scalar_s);
+    w.field("batch_seconds", kr.batch_s);
+    w.field("speedup", speedup);
+    w.field("bit_identical", kr.bit_identical);
+    w.end();
     std::fprintf(stderr, "[bench_batchsolve] kernel width %zu: %.2fx\n",
-                 kWidths[w], speedup);
+                 width, speedup);
   }
-  out << "}},\n"
-      << "  \"all_bit_identical\": " << (all_identical ? "true" : "false")
-      << "\n}\n";
+  w.end().end();
+  w.field("all_bit_identical", all_identical);
+  w.end();
   out.close();
   std::fprintf(stderr, "[bench_batchsolve] wrote %s (bit-identical %s)\n",
                path.c_str(), all_identical ? "yes" : "no");

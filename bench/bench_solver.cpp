@@ -10,6 +10,7 @@
 #include <fstream>
 #include <string>
 
+#include "bench_common.hpp"
 #include "core/accelerator.hpp"
 #include "core/array_builder.hpp"
 #include "core/backend.hpp"
@@ -114,9 +115,8 @@ BENCHMARK(BM_ReferenceDistance)
 // --json=<path>: a fixed solver scenario instead of google-benchmark.
 //
 // Runs the same Newton-dominated matrix-structure transient (20x20 DTW array,
-// ~12k unknowns — well past the dense cutoff) under three solver modes and
-// emits a machine-readable comparison (see BENCH_solver.json for the
-// committed baseline):
+// ~12k unknowns) under three solver modes and emits a machine-readable
+// comparison (see BENCH_solver.json for the committed baseline):
 //  * repivot_every_solve — allow_lu_refactor=false, the reference mode that
 //    pays a full pivoting factorisation on every linearised solve;
 //  * refactor            — the default KLU-semantics fast path;
@@ -183,18 +183,17 @@ JsonRun run_json_scenario(bool allow_refactor, bool bit_exact,
   return run;
 }
 
-void emit_json_mode(std::ofstream& out, const char* name, const JsonRun& r,
-                    bool last) {
-  out << "    \"" << name << "\": {\n"
-      << "      \"seconds\": " << r.seconds << ",\n"
-      << "      \"ok\": " << (r.result.ok ? "true" : "false") << ",\n"
-      << "      \"steps\": " << r.result.steps << ",\n"
-      << "      \"newton_iterations\": " << r.newton_iters << ",\n"
-      << "      \"sparse_lu_factors\": " << r.factors << ",\n"
-      << "      \"sparse_lu_refactors\": " << r.refactors << ",\n"
-      << "      \"refactor_fallbacks\": " << r.fallbacks << ",\n"
-      << "      \"mna_pattern_builds\": " << r.pattern_builds << "\n"
-      << "    }" << (last ? "\n" : ",\n");
+void emit_json_mode(bench::JsonWriter& w, const char* name, const JsonRun& r) {
+  w.begin_object(name);
+  w.field("seconds", r.seconds);
+  w.field("ok", r.result.ok);
+  w.field("steps", r.result.steps);
+  w.field("newton_iterations", r.newton_iters);
+  w.field("sparse_lu_factors", r.factors);
+  w.field("sparse_lu_refactors", r.refactors);
+  w.field("refactor_fallbacks", r.fallbacks);
+  w.field("mna_pattern_builds", r.pattern_builds);
+  w.end();
 }
 
 bool traces_bit_identical(const spice::TransientResult& a,
@@ -235,23 +234,24 @@ int run_json_bench(const std::string& path) {
     std::fprintf(stderr, "[bench_solver] cannot open %s\n", path.c_str());
     return 1;
   }
-  out << "{\n"
-      << "  \"bench\": \"solver_refactor\",\n"
-      << "  \"scenario\": {\n"
-      << "    \"kind\": \"dtw\",\n"
-      << "    \"rows\": 20,\n"
-      << "    \"cols\": 20,\n"
-      << "    \"t_stop\": 5e-10,\n"
-      << "    \"num_unknowns\": " << unknowns << "\n"
-      << "  },\n"
-      << "  \"modes\": {\n";
-  emit_json_mode(out, "repivot_every_solve", ref, false);
-  emit_json_mode(out, "refactor", fast, false);
-  emit_json_mode(out, "refactor_bit_exact", exact, true);
-  out << "  },\n"
-      << "  \"speedup_refactor_vs_repivot\": " << speedup << ",\n"
-      << "  \"bit_exact_traces_identical\": " << (identical ? "true" : "false")
-      << "\n}\n";
+  bench::JsonWriter w(out);
+  w.begin_object();
+  w.field("bench", "solver_refactor");
+  w.begin_object("scenario");
+  w.field("kind", "dtw");
+  w.field("rows", 20);
+  w.field("cols", 20);
+  w.field("t_stop", 5e-10);
+  w.field("num_unknowns", unknowns);
+  w.end();
+  w.begin_object("modes");
+  emit_json_mode(w, "repivot_every_solve", ref);
+  emit_json_mode(w, "refactor", fast);
+  emit_json_mode(w, "refactor_bit_exact", exact);
+  w.end();
+  w.field("speedup_refactor_vs_repivot", speedup);
+  w.field("bit_exact_traces_identical", identical);
+  w.end();
   out.close();
   std::fprintf(stderr,
                "[bench_solver] wrote %s (speedup %.2fx, bit-identical %s)\n",

@@ -241,6 +241,35 @@ AnalogEval unpack_transient(const AcceleratorConfig& config,
   return result;
 }
 
+/// Check out the FullSpice array instance for `enc` from `cache` (null: a
+/// per-query throwaway) and ready it for a query (DESIGN.md §11): built on
+/// first use, otherwise only its solver state is reset — run() itself
+/// resets device states, and the caller rewrites the source waveforms.
+ArrayCache::Lease lease_array(const std::shared_ptr<ArrayCache>& cache,
+                              const AcceleratorConfig& config,
+                              const DistanceSpec& spec,
+                              const EncodedInputs& enc) {
+  ArrayCache::Lease lease = ArrayCache::checkout(
+      cache,
+      make_instance_key(InstanceType::FullSpiceArray, config, spec, enc,
+                        enc.p_volts.size(), enc.q_volts.size()),
+      [] { return std::make_unique<SimArrayInstance>(); });
+  auto* inst = static_cast<SimArrayInstance*>(lease.get());
+  if (!inst->built) {
+    // Bake the effective Vstep into the generated bias sources.
+    AcceleratorConfig cfg = config;
+    cfg.vstep = enc.vstep_eff;
+    inst->array =
+        build_array(cfg, spec, enc.p_volts.size(), enc.q_volts.size());
+    inst->sim = std::make_unique<spice::TransientSimulator>(*inst->array.net);
+    inst->sim->probe(inst->array.out, "out");
+    inst->built = true;
+  } else {
+    inst->begin_query();
+  }
+  return lease;
+}
+
 }  // namespace
 
 AnalogEval eval_full_spice(const AcceleratorConfig& config,
@@ -264,32 +293,13 @@ AnalogEval eval_full_spice(const AcceleratorConfig& config,
   }
 
   // Configure-once, stream-many (DESIGN.md §11): the built array and its
-  // simulator persist across same-configuration queries; between queries
-  // only the source waveforms are rewritten and the solver state reset
-  // (run() itself resets device states).  An active fault plan bypasses the
-  // cache: injection and re-tuning mutate persistent memristor/op-amp state
-  // (force_stuck survives reset_state()), so those arrays must stay
-  // per-query throwaways.
-  const std::shared_ptr<ArrayCache>& cache =
-      config.faults ? nullptr : config.array_cache;
-  ArrayCache::Lease lease = ArrayCache::checkout(
-      cache,
-      make_instance_key(InstanceType::FullSpiceArray, config, spec, enc,
-                        enc.p_volts.size(), enc.q_volts.size()),
-      [] { return std::make_unique<SimArrayInstance>(); });
+  // simulator persist across same-configuration queries.  An active fault
+  // plan bypasses the cache: injection and re-tuning mutate persistent
+  // memristor/op-amp state (force_stuck survives reset_state()), so those
+  // arrays must stay per-query throwaways.
+  const ArrayCache::Lease lease = lease_array(
+      config.faults ? nullptr : config.array_cache, config, spec, enc);
   auto* inst = static_cast<SimArrayInstance*>(lease.get());
-  if (!inst->built) {
-    // Bake the effective Vstep into the generated bias sources.
-    AcceleratorConfig cfg = config;
-    cfg.vstep = enc.vstep_eff;
-    inst->array =
-        build_array(cfg, spec, enc.p_volts.size(), enc.q_volts.size());
-    inst->sim = std::make_unique<spice::TransientSimulator>(*inst->array.net);
-    inst->sim->probe(inst->array.out, "out");
-    inst->built = true;
-  } else {
-    inst->begin_query();
-  }
   ArrayCircuit& array = inst->array;
 
   if (config.faults) {
@@ -361,30 +371,15 @@ std::vector<AnalogEval> eval_full_spice_batch(
 
   // One lease per lane, all held for the duration of the batch: concurrent
   // checkouts of one key grow the per-key instance pool, so the lanes get
-  // distinct simulators.  Build/reuse logic matches eval_full_spice.
+  // distinct simulators.
   std::vector<ArrayCache::Lease> leases;
   leases.reserve(nlanes);
   std::vector<spice::TransientSimulator*> sims(nlanes);
   std::vector<spice::TransientParams> params(nlanes);
   for (std::size_t i = 0; i < nlanes; ++i) {
     const EncodedInputs& enc = encs[i];
-    leases.push_back(ArrayCache::checkout(
-        config.array_cache,
-        make_instance_key(InstanceType::FullSpiceArray, config, spec, enc,
-                          enc.p_volts.size(), enc.q_volts.size()),
-        [] { return std::make_unique<SimArrayInstance>(); }));
+    leases.push_back(lease_array(config.array_cache, config, spec, enc));
     auto* inst = static_cast<SimArrayInstance*>(leases.back().get());
-    if (!inst->built) {
-      AcceleratorConfig cfg = config;
-      cfg.vstep = enc.vstep_eff;
-      inst->array =
-          build_array(cfg, spec, enc.p_volts.size(), enc.q_volts.size());
-      inst->sim = std::make_unique<spice::TransientSimulator>(*inst->array.net);
-      inst->sim->probe(inst->array.out, "out");
-      inst->built = true;
-    } else {
-      inst->begin_query();
-    }
     inst->array.set_step_inputs(enc.p_volts, enc.q_volts, /*t_edge=*/0.0);
     params[i].t_stop =
         t_stop > 0.0 ? t_stop

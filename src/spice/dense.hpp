@@ -1,8 +1,7 @@
 #pragma once
-// Small dense LU with partial pivoting.  Used for tiny systems (single
-// blocks, device characterisation) and as a cross-check for the sparse path.
-// It has no batched form: BatchNewtonSolver (DESIGN.md §12) sends lanes at
-// or below MnaSystem::kDenseThreshold unknowns to the scalar solve.
+// Small dense LU with partial pivoting: the reference the sparse LU is
+// cross-checked against in tests.  No simulation path uses it; MnaSystem
+// solves every system with SparseLu (DESIGN.md §10).
 
 #include <cstddef>
 #include <vector>

@@ -15,7 +15,6 @@
 #include <utility>
 #include <vector>
 
-#include "spice/dense.hpp"
 #include "spice/netlist.hpp"
 #include "spice/sparse.hpp"
 #include "spice/types.hpp"
@@ -44,9 +43,6 @@ class MnaSystem {
 
   /// True if unknown index `i` is a node voltage (false: branch current).
   [[nodiscard]] bool is_voltage_unknown(int i) const { return i < num_nodes_; }
-
-  /// At or below this size a dense solve beats sparse assembly overhead.
-  static constexpr int kDenseThreshold = 16;
 
   /// Reset cross-solve solver state while keeping the structural caches
   /// (CSC pattern, accumulation tape, workspaces).  After this call the
@@ -89,13 +85,12 @@ class MnaSystem {
   /// missing/mismatched recording or a nonlinear stamp-pattern change.
   bool reassemble_linearized(const StampContext& ctx, double gmin_extra);
 
-  /// The solving half of solve_linearized(): dense or sparse LU over the
-  /// assembled system, with the pattern/refactor/factor ladder and solver
-  /// accounting.
+  /// The solving half of solve_linearized(): sparse LU over the assembled
+  /// system, with the pattern/refactor/factor ladder and solver accounting.
   bool solve_assembled(std::vector<double>& x_out);
 
   /// Pattern check/rebuild + value scatter into the cached CSC slots (the
-  /// sparse-path preamble of solve_assembled, shared with the batch driver).
+  /// preamble of solve_assembled, shared with BatchNewtonSolver).
   void prepare_sparse_values();
 
   Netlist* netlist_;
@@ -123,8 +118,6 @@ class MnaSystem {
   /// A factorisation survived reset_solver_state(); the next sparse solve
   /// may reuse it only through the cold-exact guard (see solve_linearized).
   bool lu_stream_pending_ = false;
-  DenseLu dense_lu_;
-  std::vector<double> dense_;  ///< Reused n^2 assembly buffer (dense path).
   std::uint64_t structure_epoch_ = 0;
   // Partial-restamp recording (batched solver only; the scalar path keeps
   // record_stamps_ false and pays nothing).

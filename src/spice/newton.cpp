@@ -23,34 +23,20 @@ const obs::Counter& iterations_counter() {
 
 }  // namespace
 
-NewtonResult NewtonSolver::iterate(std::vector<double>& x, double t, double dt,
-                                   bool dc, Integration method,
-                                   double gmin_extra, double source_scale) {
+bool NewtonSolver::advance(Progress& p, std::vector<double>& x,
+                           const std::vector<double>& x_new,
+                           bool solved) const {
   const Tolerances& tol = mna_->tolerances();
-  NewtonResult res;
-  std::vector<double>& x_new = x_new_;
-  StampContext ctx;
-  ctx.t = t;
-  ctx.dt = dt;
-  ctx.dc = dc;
-  ctx.method = method;
-  ctx.x = &x;
-  ctx.source_scale = source_scale;
-
   const bool needs_iterations = mna_->has_nonlinear_devices();
-  // Damping applies only to nonlinear solves (a linear solve lands exactly);
-  // the limit shrinks periodically to break saturation-induced oscillation
-  // (high-gain op-amp stages flipping rail to rail between iterations).
-  double step_limit = tol.v_step_limit;
-  for (int it = 0; it < tol.max_newton_iters; ++it) {
-    if (!mna_->solve_linearized(ctx, gmin_extra, x_new)) {
-      res.converged = false;
-      res.iterations = it + 1;
-      iterations_counter().add(static_cast<std::uint64_t>(res.iterations));
-      return res;
-    }
-    if (needs_iterations && it > 0 && it % 25 == 0) {
-      step_limit = std::max(step_limit * 0.5, 1e-4);
+  NewtonResult& res = p.result;
+  res.iterations = p.it + 1;
+  if (solved) {
+    // Damping applies only to nonlinear solves (a linear solve lands
+    // exactly); the limit shrinks periodically to break saturation-induced
+    // oscillation (high-gain op-amp stages flipping rail to rail between
+    // iterations).
+    if (needs_iterations && p.it > 0 && p.it % 25 == 0) {
+      p.step_limit = std::max(p.step_limit * 0.5, 1e-4);
     }
     double max_delta = 0.0;
     bool converged = true;
@@ -58,7 +44,7 @@ NewtonResult NewtonSolver::iterate(std::vector<double>& x, double t, double dt,
       const auto ui = static_cast<std::size_t>(i);
       double delta = x_new[ui] - x[ui];
       if (needs_iterations && mna_->is_voltage_unknown(i)) {
-        delta = std::clamp(delta, -step_limit, step_limit);
+        delta = std::clamp(delta, -p.step_limit, p.step_limit);
       }
       const double updated = x[ui] + delta;
       const double atol = mna_->is_voltage_unknown(i) ? tol.vntol : tol.abstol;
@@ -68,22 +54,37 @@ NewtonResult NewtonSolver::iterate(std::vector<double>& x, double t, double dt,
       max_delta = std::max(max_delta, std::abs(delta));
       x[ui] = updated;
     }
-    res.iterations = it + 1;
     res.max_delta = max_delta;
-    if (!needs_iterations || converged) {
-      // Linear circuits converge in a single solve; nonlinear ones need the
-      // stamp to have been evaluated at (numerically) the final iterate, so
-      // require at least two passes.
-      if (!needs_iterations || it >= 1) {
-        res.converged = true;
-        iterations_counter().add(static_cast<std::uint64_t>(res.iterations));
-        return res;
-      }
+    // Linear circuits converge in a single solve; nonlinear ones need the
+    // stamp to have been evaluated at (numerically) the final iterate, so
+    // require at least two passes.
+    if (!needs_iterations || (converged && p.it >= 1)) {
+      res.converged = true;
+      iterations_counter().add(static_cast<std::uint64_t>(res.iterations));
+      return true;
     }
+    if (++p.it < tol.max_newton_iters) return false;
   }
   res.converged = false;
   iterations_counter().add(static_cast<std::uint64_t>(res.iterations));
-  return res;
+  return true;
+}
+
+NewtonResult NewtonSolver::iterate(std::vector<double>& x, double t, double dt,
+                                   bool dc, Integration method,
+                                   double gmin_extra, double source_scale) {
+  StampContext ctx;
+  ctx.t = t;
+  ctx.dt = dt;
+  ctx.dc = dc;
+  ctx.method = method;
+  ctx.x = &x;
+  ctx.source_scale = source_scale;
+  Progress p{0, mna_->tolerances().v_step_limit, {}};
+  for (;;) {
+    const bool solved = mna_->solve_linearized(ctx, gmin_extra, x_new_);
+    if (advance(p, x, x_new_, solved)) return p.result;
+  }
 }
 
 NewtonResult NewtonSolver::solve(std::vector<double>& x, double t, double dt,
@@ -167,13 +168,13 @@ NewtonResult NewtonSolver::fallback_solve(std::vector<double>& x, double t,
 // ---------------------------------------------------------------------------
 // BatchNewtonSolver (DESIGN.md §12)
 //
-// The lockstep driver replays the scalar solve()/iterate() control flow per
-// lane while sharing the linear-solve work across lanes.  Parity with the
-// scalar path is load-bearing: every counter bump below mirrors one in
-// NewtonSolver::iterate or MnaSystem::solve_assembled (obs::register_metric
-// is idempotent, so same-name counters share the scalar series), and every
-// irregular lane is evicted to the genuine scalar code so its arithmetic and
-// accounting are the serial ones.
+// The lockstep solver runs the scalar solve()/iterate() steps per lane
+// (NewtonSolver::advance) while sharing the linear-solve work across lanes.
+// Parity with the scalar path is load-bearing: every counter bump below
+// mirrors one in NewtonSolver::solve or MnaSystem::solve_assembled
+// (obs::register_metric is idempotent, so same-name counters share the
+// scalar series), and every irregular lane is evicted to the genuine scalar
+// code so its arithmetic and accounting are the serial ones.
 // ---------------------------------------------------------------------------
 
 bool BatchNewtonSolver::lane_structure_matches(std::size_t i,
@@ -282,25 +283,25 @@ void BatchNewtonSolver::solve_round(std::span<NewtonLane> lanes) {
     ctx.method = lane.method;
     ctx.x = lane.x;
     ctx.source_scale = 1.0;
-    if (state_[i].it == 0 || !lane.mna->reassemble_linearized(ctx, 0.0)) {
+    if (state_[i].progress.it == 0 ||
+        !lane.mna->reassemble_linearized(ctx, 0.0)) {
       lane.mna->assemble_linearized(ctx, 0.0);
     }
     solve_ok_[i] = 0;
   }
 
-  // 2. Prepare values, partition the refactor-ready sparse lanes into
-  //    structure classes (per-lane value streams steer threshold pivoting,
-  //    so several pivot orders can coexist in one round), and batch each
-  //    class through its own pooled SoA solver.  Lockstep LU needs a vector
-  //    kernel: without one (no AVX2, or forced off) every lane runs scalar,
-  //    as do dense-path lanes (at most kDenseThreshold unknowns).
+  // 2. Prepare values, partition the refactor-ready lanes into structure
+  //    classes (per-lane value streams steer threshold pivoting, so several
+  //    pivot orders can coexist in one round), and batch each class through
+  //    its own pooled SoA solver.  Lockstep LU needs a vector kernel:
+  //    without one (no AVX2, or forced off) every lane runs scalar.
   const bool lockstep = batch::use_avx2();
   scalar_.clear();
   group_.clear();
   for (std::size_t i = 0; i < nlanes; ++i) {
     if (!state_[i].pending) continue;
     MnaSystem& mna = *lanes[i].mna;
-    if (!lockstep || mna.num_unknowns() <= MnaSystem::kDenseThreshold) {
+    if (!lockstep) {
       scalar_.push_back(i);
       continue;
     }
@@ -414,23 +415,18 @@ void BatchNewtonSolver::solve(std::span<NewtonLane> lanes) {
 
   for (std::size_t i = 0; i < nlanes; ++i) {
     LaneState& st = state_[i];
-    if (!lanes[i].active) {
-      st.pending = false;
-      st.fallback = false;
-      continue;
-    }
+    st.fallback = false;
+    st.pending = lanes[i].active;
+    if (!st.pending) continue;
     solves_counter().add();
     batch_lane_points.add();
-    lanes[i].result = NewtonResult{};
-    st.it = 0;
-    st.step_limit = lanes[i].mna->tolerances().v_step_limit;
-    st.pending = true;
-    st.fallback = false;
+    st.progress = {0, lanes[i].mna->tolerances().v_step_limit, {}};
     lanes[i].mna->record_stamps_ = true;
   }
 
-  // Plain lockstep Newton loop: the per-lane update below is a line-for-line
-  // replay of NewtonSolver::iterate at gmin_extra=0, source_scale=1.
+  // Plain lockstep Newton loop: each lane takes NewtonSolver::iterate's
+  // steps at gmin_extra=0, source_scale=1; only the linear solves of a
+  // round are shared (solve_round).
   for (;;) {
     bool any_pending = false;
     for (std::size_t i = 0; i < nlanes; ++i) any_pending |= state_[i].pending;
@@ -441,55 +437,11 @@ void BatchNewtonSolver::solve(std::span<NewtonLane> lanes) {
       LaneState& st = state_[i];
       if (!st.pending) continue;
       NewtonLane& lane = lanes[i];
-      const Tolerances& tol = lane.mna->tolerances();
-      const bool needs_iterations = lane.mna->has_nonlinear_devices();
-      if (solve_ok_[i] == 0) {
-        lane.result.converged = false;
-        lane.result.iterations = st.it + 1;
-        iterations_counter().add(
-            static_cast<std::uint64_t>(lane.result.iterations));
+      if (lane.newton->advance(st.progress, *lane.x, x_new_[i],
+                               solve_ok_[i] != 0)) {
+        lane.result = st.progress.result;
         st.pending = false;
-        st.fallback = true;
-        continue;
-      }
-      if (needs_iterations && st.it > 0 && st.it % 25 == 0) {
-        st.step_limit = std::max(st.step_limit * 0.5, 1e-4);
-      }
-      std::vector<double>& x = *lane.x;
-      const std::vector<double>& x_new = x_new_[i];
-      double max_delta = 0.0;
-      bool converged = true;
-      for (int u = 0; u < lane.mna->num_unknowns(); ++u) {
-        const auto ui = static_cast<std::size_t>(u);
-        double delta = x_new[ui] - x[ui];
-        if (needs_iterations && lane.mna->is_voltage_unknown(u)) {
-          delta = std::clamp(delta, -st.step_limit, st.step_limit);
-        }
-        const double updated = x[ui] + delta;
-        const double atol =
-            lane.mna->is_voltage_unknown(u) ? tol.vntol : tol.abstol;
-        const double limit =
-            atol + tol.reltol * std::max(std::abs(updated), std::abs(x[ui]));
-        if (std::abs(delta) > limit) converged = false;
-        max_delta = std::max(max_delta, std::abs(delta));
-        x[ui] = updated;
-      }
-      lane.result.iterations = st.it + 1;
-      lane.result.max_delta = max_delta;
-      if ((!needs_iterations || converged) && (!needs_iterations || st.it >= 1)) {
-        lane.result.converged = true;
-        iterations_counter().add(
-            static_cast<std::uint64_t>(lane.result.iterations));
-        st.pending = false;
-        continue;
-      }
-      ++st.it;
-      if (st.it >= tol.max_newton_iters) {
-        lane.result.converged = false;
-        iterations_counter().add(
-            static_cast<std::uint64_t>(lane.result.iterations));
-        st.pending = false;
-        st.fallback = true;
+        st.fallback = !lane.result.converged;
       }
     }
   }

@@ -1,7 +1,10 @@
 #pragma once
 // Newton-Raphson solver over one MNA solve point (DC operating point or one
 // transient timestep), with per-iteration voltage damping and gmin / source
-// stepping fallbacks for hard nonlinear cases.
+// stepping fallbacks for hard nonlinear cases.  The Newton update exists
+// once (NewtonSolver::advance): the scalar iterate() and the lockstep
+// BatchNewtonSolver both step through it and differ only in how each
+// iteration's linear solve is carried out.
 
 #include <cstddef>
 #include <cstdint>
@@ -38,6 +41,21 @@ class NewtonSolver {
  private:
   friend class BatchNewtonSolver;
 
+  /// Newton progress through one solve point.
+  struct Progress {
+    int it = 0;
+    double step_limit = 0.0;  ///< Voltage damping limit [V].
+    NewtonResult result;
+  };
+
+  /// One Newton iteration after its linearised solve (`solved` false: the
+  /// system was singular): step-limit schedule, damped update of `x`
+  /// towards `x_new`, convergence test.  Returns true once the solve point
+  /// is finished — converged, singular or out of iterations — with
+  /// p.result final.  iterate() and BatchNewtonSolver::solve share it.
+  bool advance(Progress& p, std::vector<double>& x,
+               const std::vector<double>& x_new, bool solved) const;
+
   NewtonResult iterate(std::vector<double>& x, double t, double dt, bool dc,
                        Integration method, double gmin_extra,
                        double source_scale);
@@ -70,11 +88,11 @@ struct NewtonLane {
 /// (DESIGN.md §12).  Each round assembles every active lane (full stamp on
 /// the first iteration, partial restamp after), routes structure-matched
 /// refactor-ready lanes through the batched SoA LU kernel, and applies the
-/// scalar per-lane Newton update.  Lanes retire as they converge without
-/// perturbing the others; irregular events — first factor of a query,
-/// stream re-entry, pattern rebuild, structure mismatch, pivot-guard
-/// failure, singular matrix, homotopy fallback — evict the affected lane to
-/// the genuine scalar code path for that step.
+/// scalar Newton update (NewtonSolver::advance) per lane.  Lanes retire as
+/// they converge without perturbing the others; irregular events — first
+/// factor of a query, stream re-entry, pattern rebuild, structure mismatch,
+/// pivot-guard failure, singular matrix, homotopy fallback — evict the
+/// affected lane to the genuine scalar code path for that step.
 ///
 /// Contract: for every lane, the final x, the NewtonResult, and all solver
 /// metrics (mda.spice.*) are bit-identical to calling
@@ -86,8 +104,7 @@ class BatchNewtonSolver {
 
  private:
   struct LaneState {
-    int it = 0;
-    double step_limit = 0.0;
+    NewtonSolver::Progress progress;
     bool pending = false;   ///< Still in the plain lockstep loop.
     bool fallback = false;  ///< Plain iteration failed; run scalar homotopy.
   };

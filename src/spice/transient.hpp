@@ -1,6 +1,9 @@
 #pragma once
 // Transient analysis driver: DC operating point followed by adaptive
-// backward-Euler time stepping, recording probed node voltages.
+// backward-Euler time stepping, recording probed node voltages.  The step
+// policy (reject and shrink, accept and commit, steady-state exit, growth,
+// finishing at t_stop) lives once, in transient.cpp; run() is the scalar
+// reference and run_transient_lockstep() the batched form.
 
 #include <span>
 #include <string>
@@ -64,6 +67,9 @@ class TransientSimulator {
       std::span<TransientSimulator* const> sims,
       std::span<const TransientParams> params);
 
+  /// Reset every device's state and set `x` to the all-zero iterate.
+  void reset(std::vector<double>& x);
+
   Netlist* netlist_;
   MnaSystem mna_;
   NewtonSolver newton_;
@@ -72,10 +78,11 @@ class TransientSimulator {
 
 /// Run B transient analyses in lockstep through one BatchNewtonSolver
 /// (DESIGN.md §12): every lane advances its own adaptive timeline (t, dt,
-/// rejects, steady detection) exactly as TransientSimulator::run would, but
-/// each round's Newton solve points are batched so structure-matched lanes
-/// share SoA LU work.  Lanes that finish (t_stop, steady state, underflow,
-/// DC failure) retire early without perturbing the others.
+/// rejects, steady detection) through the same step code as
+/// TransientSimulator::run, but each round's Newton solve points are
+/// batched so structure-matched lanes share SoA LU work.  Lanes that finish
+/// (t_stop, steady state, underflow, DC failure) retire early without
+/// perturbing the others.
 ///
 /// Contract: results[i] is bit-identical (traces, final_x, steps,
 /// iterations, errors) to sims[i]->run(params[i]) run serially, and all

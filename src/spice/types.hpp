@@ -15,7 +15,7 @@ struct Tolerances {
   double vntol = 1e-9;        ///< Absolute tolerance on node voltages [V].
   double abstol = 1e-12;      ///< Absolute tolerance on branch currents [A].
   double gmin = 1e-12;        ///< Minimum conductance to ground per node [S].
-  int max_newton_iters = 400; ///< Iteration cap per solve.
+  int max_newton_iters = 400; ///< Iteration cap per solve (1 at least).
   double v_step_limit = 0.5;  ///< Max per-iteration voltage update [V].
   /// Reuse the previous LU pivot order via SparseLu::refactor() on
   /// fixed-pattern Newton iterations (DESIGN.md §10).  Disable to force a

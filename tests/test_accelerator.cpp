@@ -155,8 +155,8 @@ TEST(Accelerator, EqualLengthEnforcedForRowKinds) {
   acc.configure(spec);
   std::vector<double> p = {1.0, 2.0};
   std::vector<double> q = {1.0, 2.0, 3.0};
-  EXPECT_THROW(acc.try_compute(p, q).unwrap(), std::invalid_argument);
-  EXPECT_THROW(acc.try_compute({}, {}).unwrap(), std::invalid_argument);
+  EXPECT_THROW((void)acc.try_compute(p, q).unwrap(), std::invalid_argument);
+  EXPECT_THROW((void)acc.try_compute({}, {}).unwrap(), std::invalid_argument);
 }
 
 TEST(Accelerator, TilingCounts) {

@@ -218,9 +218,8 @@ INSTANTIATE_TEST_SUITE_P(Widths, SparseKernelWidths,
 // Lockstep transient vs serial, at the spice layer.
 // ------------------------------------------------------------------------
 
-/// A nonlinear RC/diode ladder big enough for the sparse path (>16
-/// unknowns), parameterised per lane so lanes share structure but not
-/// values or convergence behaviour.
+/// A nonlinear RC/diode ladder, parameterised per lane so lanes share
+/// structure but not values or convergence behaviour.
 struct LadderSim {
   spice::Netlist net;
   std::unique_ptr<spice::TransientSimulator> sim;
@@ -403,12 +402,14 @@ TEST(LockstepTransient, FallbackLaneDoesNotPerturbSiblings) {
 
 TEST(LockstepTransient, MixedEarlyConvergenceRetiresLanesIndependently) {
   // Different horizons: short-horizon lanes retire rounds before the long
-  // one finishes; the survivor must be unperturbed.
-  const std::size_t lanes = 3;
+  // one finishes; the survivor must be unperturbed.  A zero horizon ends
+  // right after the DC operating point: no step, one trace point.
+  const std::size_t lanes = 4;
   std::vector<spice::TransientParams> lane_params(lanes);
   lane_params[0].t_stop = 0.3e-9;
   lane_params[1].t_stop = 2e-9;
   lane_params[2].t_stop = 0.7e-9;
+  lane_params[3].t_stop = 0.0;
 
   std::vector<spice::TransientResult> want;
   for (std::size_t l = 0; l < lanes; ++l) {

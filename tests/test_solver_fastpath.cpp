@@ -85,8 +85,8 @@ TEST_P(SolverFastPath, TransientBitIdenticalWithAndWithoutRefactor) {
   ASSERT_TRUE(fast.ok) << fast.error;
   ASSERT_TRUE(ref.ok) << ref.error;
   if (matrix) {
-    // Make sure the sparse solver (not the small-system dense path) is what
-    // we are exercising.
+    // Make sure a matrix-sized array (not a single-PE circuit) is what we
+    // are exercising.
     EXPECT_GT(unknowns, 80);
   }
 
