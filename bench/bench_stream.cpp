@@ -5,9 +5,10 @@
 // bench measures exactly that amortisation: a kNN-shaped stream (one probe
 // against many candidates, same configuration throughout) evaluated fresh
 // (cache_capacity = 0, rebuild per query) versus cached (default LRU), for
-// every distance kind on both SPICE backends.
+// every distance kind on the wavefront backend.  FullSpice builds its array
+// per evaluation and never touches the cache, so it has no cached side.
 //
-// Two speedups are reported per backend and kind (DESIGN.md §11):
+// Two speedups are reported per kind (DESIGN.md §11):
 //  * wall-clock — simulator time saved by instance reuse.  Structurally
 //    bounded: the solve dominates a simulated query, so skipping rebuilds
 //    can only shave the build fraction;
@@ -16,7 +17,7 @@
 //    (Accelerator::configuration_time_s) versus programming it once and
 //    streaming every query through the fixed configuration.
 //
-// --json=<path> [--queries=N] [--length=L] [--fs-length=L] runs the fixed
+// --json=<path> [--queries=N] [--length=L] runs the fixed
 // scenario and writes a machine-readable comparison (committed baseline:
 // BENCH_stream.json).  Exit code 2 if any cached result differs bitwise
 // from its fresh-build reference — the cache contract — else 0.  Without
@@ -111,19 +112,19 @@ double run_stream(const core::Accelerator& acc, const Stream& s,
       .count();
 }
 
-KindRun run_kind(dist::DistanceKind kind, core::Backend backend,
-                 std::size_t queries, std::size_t length) {
+KindRun run_kind(dist::DistanceKind kind, std::size_t queries,
+                 std::size_t length) {
   const Stream s = make_stream(kind, queries, length);
   const core::DistanceSpec spec = spec_for(kind);
 
   core::AcceleratorConfig fresh_cfg;
-  fresh_cfg.backend = backend;
+  fresh_cfg.backend = core::Backend::Wavefront;
   fresh_cfg.cache_capacity = 0;  // rebuild the fabric for every query
   core::Accelerator fresh(fresh_cfg);
   fresh.configure(spec);
 
   core::AcceleratorConfig cached_cfg;
-  cached_cfg.backend = backend;  // default cache_capacity: streaming mode
+  cached_cfg.backend = core::Backend::Wavefront;  // default cache_capacity
   core::Accelerator cached(cached_cfg);
   cached.configure(spec);
 
@@ -145,25 +146,12 @@ KindRun run_kind(dist::DistanceKind kind, core::Backend backend,
   return run;
 }
 
-const char* backend_name(core::Backend b) {
-  switch (b) {
-    case core::Backend::Wavefront: return "wavefront";
-    case core::Backend::FullSpice: return "fullspice";
-    case core::Backend::Behavioral: return "behavioral";
-  }
-  return "?";
-}
-
 int run_json_bench(const std::string& path, int argc, char** argv) {
   const auto queries =
       static_cast<std::size_t>(bench::flag_value(argc, argv, "queries", 100));
-  const auto wf_length =
+  const auto length =
       static_cast<std::size_t>(bench::flag_value(argc, argv, "length", 5));
-  const auto fs_length =
-      static_cast<std::size_t>(bench::flag_value(argc, argv, "fs-length", 4));
 
-  const core::Backend backends[] = {core::Backend::Wavefront,
-                                    core::Backend::FullSpice};
   bool all_identical = true;
   std::ofstream out(path);
   if (!out) {
@@ -175,60 +163,50 @@ int run_json_bench(const std::string& path, int argc, char** argv) {
   w.field("bench", "stream_cache");
   w.begin_object("scenario");
   w.field("shape", "knn");
+  w.field("backend", "wavefront");
   w.field("queries", queries);
-  w.field("wavefront_length", wf_length);
-  w.field("fullspice_length", fs_length);
+  w.field("length", length);
   w.end();
-  w.begin_object("backends");
-  for (const core::Backend backend : backends) {
-    const std::size_t length =
-        backend == core::Backend::FullSpice ? fs_length : wf_length;
-    double fresh_total = 0.0, cached_total = 0.0;
-    double hw_once_total = 0.0, hw_per_query_total = 0.0;
-    w.begin_object(backend_name(backend));
-    w.begin_object("kinds");
-    for (const dist::DistanceKind kind : dist::kAllKinds) {
-      std::fprintf(stderr, "[bench_stream] %s %s (%zu queries, length %zu)\n",
-                   backend_name(backend), dist::kind_name(kind).c_str(),
-                   queries, length);
-      const KindRun run = run_kind(kind, backend, queries, length);
-      fresh_total += run.fresh_s;
-      cached_total += run.cached_s;
-      hw_once_total += run.hw_config_s + run.hw_query_s;
-      hw_per_query_total +=
-          static_cast<double>(run.queries) * run.hw_config_s + run.hw_query_s;
-      all_identical = all_identical && run.bit_identical;
-      w.begin_object(dist::kind_name(kind), /*one_line=*/true);
-      w.field("fresh_seconds", run.fresh_s);
-      w.field("cached_seconds", run.cached_s);
-      w.field("speedup", run.speedup());
-      w.field("cache_hits", run.hits);
-      w.field("builds_avoided", run.builds_avoided);
-      w.field("hw_configuration_seconds", run.hw_config_s);
-      w.field("hw_stream_query_seconds", run.hw_query_s);
-      w.field("hw_stream_speedup", run.hw_stream_speedup());
-      w.field("bit_identical", run.bit_identical);
-      w.end();
-    }
-    w.end();  // kinds
-    const double agg =
-        cached_total > 0.0 ? fresh_total / cached_total : 0.0;
-    const double hw_agg =
-        hw_once_total > 0.0 ? hw_per_query_total / hw_once_total : 0.0;
-    w.field("fresh_seconds", fresh_total);
-    w.field("cached_seconds", cached_total);
-    w.field("speedup", agg);
-    w.field("hw_stream_speedup", hw_agg);
-    w.end();  // backend
-    std::fprintf(stderr,
-                 "[bench_stream] %s wall-clock speedup %.2fx, "
-                 "modeled hw stream speedup %.1fx\n",
-                 backend_name(backend), agg, hw_agg);
+  double fresh_total = 0.0, cached_total = 0.0;
+  double hw_once_total = 0.0, hw_per_query_total = 0.0;
+  w.begin_object("kinds");
+  for (const dist::DistanceKind kind : dist::kAllKinds) {
+    std::fprintf(stderr, "[bench_stream] %s (%zu queries, length %zu)\n",
+                 dist::kind_name(kind).c_str(), queries, length);
+    const KindRun run = run_kind(kind, queries, length);
+    fresh_total += run.fresh_s;
+    cached_total += run.cached_s;
+    hw_once_total += run.hw_config_s + run.hw_query_s;
+    hw_per_query_total +=
+        static_cast<double>(run.queries) * run.hw_config_s + run.hw_query_s;
+    all_identical = all_identical && run.bit_identical;
+    w.begin_object(dist::kind_name(kind), /*one_line=*/true);
+    w.field("fresh_seconds", run.fresh_s);
+    w.field("cached_seconds", run.cached_s);
+    w.field("speedup", run.speedup());
+    w.field("cache_hits", run.hits);
+    w.field("builds_avoided", run.builds_avoided);
+    w.field("hw_configuration_seconds", run.hw_config_s);
+    w.field("hw_stream_query_seconds", run.hw_query_s);
+    w.field("hw_stream_speedup", run.hw_stream_speedup());
+    w.field("bit_identical", run.bit_identical);
+    w.end();
   }
-  w.end();  // backends
+  w.end();  // kinds
+  const double agg = cached_total > 0.0 ? fresh_total / cached_total : 0.0;
+  const double hw_agg =
+      hw_once_total > 0.0 ? hw_per_query_total / hw_once_total : 0.0;
+  w.field("fresh_seconds", fresh_total);
+  w.field("cached_seconds", cached_total);
+  w.field("speedup", agg);
+  w.field("hw_stream_speedup", hw_agg);
   w.field("all_bit_identical", all_identical);
   w.end();
   out.close();
+  std::fprintf(stderr,
+               "[bench_stream] wall-clock speedup %.2fx, modeled hw stream "
+               "speedup %.1fx\n",
+               agg, hw_agg);
   std::fprintf(stderr, "[bench_stream] wrote %s (bit-identical %s)\n",
                path.c_str(), all_identical ? "yes" : "no");
   return all_identical ? 0 : 2;

@@ -20,10 +20,9 @@ namespace mda::core {
 namespace {
 
 /// Degradation chain for a compute starting at `start` (DESIGN.md §9):
-/// explicit policy chain if given, else FullSpice -> Wavefront -> Behavioral
-/// truncated to start at `start` (or just {start} when degradation is off).
+/// FullSpice -> Wavefront -> Behavioral truncated to start at `start` (or
+/// just {start} when degradation is off).
 std::vector<Backend> degradation_chain(Backend start, const FaultHandling& fh) {
-  if (!fh.degradation.empty()) return fh.degradation;
   std::vector<Backend> chain{start};
   if (fh.degrade) {
     if (start == Backend::FullSpice) chain.push_back(Backend::Wavefront);
@@ -157,8 +156,8 @@ ComputeOutcome Accelerator::try_compute_with(Backend backend,
 
   // Recovery chain (DESIGN.md §9): walk the degradation chain, giving each
   // backend 1 + max_retries attempts; retry attempts carry fault_attempt > 0
-  // so tunable faults are re-tuned before re-evaluating.  Detection failures
-  // (envelope / cross-check) are treated exactly like evaluation failures.
+  // so tunable faults are re-tuned before re-evaluating.  Envelope trips
+  // are treated exactly like evaluation failures.
   const FaultHandling& fh = config_.fault_handling;
   const std::vector<Backend> chain = degradation_chain(backend, fh);
   AnalogEval eval;
@@ -220,22 +219,6 @@ ComputeOutcome Accelerator::try_compute_with(Backend backend,
           detected = true;
           last_error = *trip;
           if (config_.health) config_.health->record_envelope_trip();
-        }
-      }
-      if (ok && fh.cross_check && chain[c] != Backend::Behavioral) {
-        try {
-          const AnalogEval ref = eval_behavioral(config_, spec_, enc);
-          const double got = decode_output(config_, spec_, eval.out_volts, enc);
-          const double want =
-              decode_output(config_, spec_, ref.out_volts, enc);
-          if (util::relative_error(got, want, counting ? 1.0 : 0.1) >
-              fh.cross_check_tol) {
-            ok = false;
-            detected = true;
-            last_error = "behavioral cross-check failed";
-          }
-        } catch (const std::exception&) {
-          // A broken cross-check reference must not fail a healthy compute.
         }
       }
       if (ok) {
@@ -302,21 +285,17 @@ void Accelerator::set_health(std::shared_ptr<fault::HealthScoreboard> board) {
 void Accelerator::set_fault_plan(
     std::shared_ptr<const fault::FaultPlan> plan) {
   config_.faults = std::move(plan);
-  // Memristor/op-amp faults apply at array build time: no instance built
-  // under the old plan may serve another query.
-  if (config_.array_cache) config_.array_cache->invalidate_all();
 }
 
 void Accelerator::retune() {
   // Scrub = one more pass of the Sec. 3.3 program-and-verify loop: attempts
   // above the base re-tune every tunable (drifted) device and quarantine the
   // untunable ones, exactly the retry semantics of DESIGN.md §9 — so the
-  // scrub reuses the tuner's quarantine machinery by construction.  The
-  // cache invalidation is the no-half-tuned-array barrier: in-flight leases
-  // are dropped on give-back instead of re-pooled, and every later checkout
-  // rebuilds (and re-verifies) against the bumped attempt.
+  // scrub reuses the tuner's quarantine machinery by construction.  No
+  // query can see a half-tuned array: device faults and re-tuning touch
+  // only the FullSpice array each evaluation builds for itself, and every
+  // cached wavefront instance is plan- and attempt-invariant.
   ++config_.fault_attempt;
-  if (config_.array_cache) config_.array_cache->invalidate_all();
 }
 
 ComputeOutcome Accelerator::try_compute(std::span<const double> p,

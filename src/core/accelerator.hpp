@@ -52,13 +52,12 @@ class Accelerator {
   /// Install (or clear, with nullptr) the device-health scoreboard that
   /// solve-time detectors report into.
   void set_health(std::shared_ptr<fault::HealthScoreboard> board);
-  /// Swap the active fault plan (chaos injection / healed-plan swap) and
-  /// invalidate the instance cache.
+  /// Swap the active fault plan (chaos injection / healed-plan swap).
   void set_fault_plan(std::shared_ptr<const fault::FaultPlan> plan);
   /// Re-run program-and-verify on degraded devices: bumps the base fault
-  /// attempt (re-tunes drifted devices, quarantines untunable ones) and
-  /// invalidates the instance cache so queries never lease a half-tuned
-  /// array.
+  /// attempt (re-tunes drifted devices, quarantines untunable ones).  The
+  /// next FullSpice evaluation builds and re-tunes its own array, so no
+  /// query sees a half-tuned one.
   void retune();
 
   /// Evaluate the configured distance on P and Q using the configured

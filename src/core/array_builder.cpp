@@ -279,6 +279,17 @@ ArrayCircuit build_array(const AcceleratorConfig& config,
   return a;
 }
 
+SimArray build_sim_array(const AcceleratorConfig& config,
+                         const DistanceSpec& spec, const EncodedInputs& enc) {
+  AcceleratorConfig cfg = config;
+  cfg.vstep = enc.vstep_eff;
+  SimArray s{build_array(cfg, spec, enc.p_volts.size(), enc.q_volts.size()),
+             nullptr};
+  s.sim = std::make_unique<spice::TransientSimulator>(*s.array.net);
+  s.sim->probe(s.array.out, "out");
+  return s;
+}
+
 power::PeInventory measure_pe_inventory(dist::DistanceKind kind) {
   const ConfigEntry entry = measure_config_entry(kind);
   power::PeInventory inv;

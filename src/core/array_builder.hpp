@@ -8,10 +8,12 @@
 #include <vector>
 
 #include "blocks/factory.hpp"
+#include "core/backend.hpp"
 #include "core/config.hpp"
 #include "core/pe.hpp"
 #include "power/power_model.hpp"
 #include "spice/primitives.hpp"
+#include "spice/transient.hpp"
 
 namespace mda::core {
 
@@ -43,6 +45,18 @@ struct ArrayCircuit {
 ArrayCircuit build_array(const AcceleratorConfig& config,
                          const DistanceSpec& spec, std::size_t m,
                          std::size_t n);
+
+/// A built array and the simulator over it, with the output node probed as
+/// "out".
+struct SimArray {
+  ArrayCircuit array;
+  std::unique_ptr<spice::TransientSimulator> sim;
+};
+
+/// Build the array for `enc`'s query shape, with the effective Vstep
+/// (EncodedInputs::vstep_eff) baked into the generated bias sources.
+SimArray build_sim_array(const AcceleratorConfig& config,
+                         const DistanceSpec& spec, const EncodedInputs& enc);
 
 /// Per-PE device inventory for the power model, measured from a freshly
 /// generated PE netlist.

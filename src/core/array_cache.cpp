@@ -3,7 +3,6 @@
 #include <bit>
 #include <utility>
 
-#include "fault/plan.hpp"
 #include "obs/metrics.hpp"
 
 namespace mda::core {
@@ -77,12 +76,6 @@ InstanceKey make_instance_key(InstanceType type, const AcceleratorConfig& cfg,
   f.fold_double(enc.vstep_eff);
   f.fold(spec.pair_weights ? weights_digest(*spec.pair_weights) : 0);
   f.fold(spec.elem_weights ? weights_digest(*spec.elem_weights) : 0);
-  if (type == InstanceType::FullSpiceArray) {
-    // Device state depends on fault injection + re-tuning (the cache is
-    // bypassed under an active plan; folding keeps the key honest anyway).
-    f.fold(cfg.faults ? cfg.faults->config().seed : 0);
-    f.fold(static_cast<std::uint64_t>(cfg.fault_attempt));
-  }
   return InstanceKey{f.lo, f.hi};
 }
 
@@ -98,7 +91,7 @@ ArrayCache::Lease& ArrayCache::Lease::operator=(Lease&& other) noexcept {
 
 void ArrayCache::Lease::release() {
   if (cache_ && inst_) {
-    cache_->give_back(key_, std::move(inst_), gen_);
+    cache_->give_back(key_, std::move(inst_));
   }
   inst_.reset();
   cache_.reset();
@@ -112,7 +105,6 @@ ArrayCache::Lease ArrayCache::checkout(const std::shared_ptr<ArrayCache>& cache,
   if (cache && cache->capacity_ > 0) {
     lease.inst_ = cache->take(key);
     lease.cache_ = cache;
-    lease.gen_ = cache->generation();
   }
   if (!lease.inst_) lease.inst_ = build();  // outside the cache lock
   return lease;
@@ -154,29 +146,13 @@ std::unique_ptr<ArrayCache::Instance> ArrayCache::take(const InstanceKey& key) {
 }
 
 void ArrayCache::give_back(const InstanceKey& key,
-                           std::unique_ptr<Instance> inst, std::uint64_t gen) {
+                           std::unique_ptr<Instance> inst) {
   const std::lock_guard<std::mutex> lock(mu_);
-  if (gen != generation_) return;  // invalidated while checked out: drop
   const auto it = entries_.find(key);
   if (it == entries_.end()) return;  // evicted while checked out: drop
   stats_.resident_bytes += inst->approx_bytes();
   it->second.idle.push_back(std::move(inst));
   publish_gauges_locked();
-}
-
-void ArrayCache::invalidate_all() {
-  const std::lock_guard<std::mutex> lock(mu_);
-  ++generation_;
-  stats_.evictions += entries_.size();
-  evictions_ctr().add(entries_.size());
-  entries_.clear();
-  stats_.resident_bytes = 0;
-  publish_gauges_locked();
-}
-
-std::uint64_t ArrayCache::generation() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return generation_;
 }
 
 void ArrayCache::evict_to_capacity_locked() {

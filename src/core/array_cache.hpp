@@ -3,10 +3,11 @@
 // is configure once, stream queries (Fig. 1, §3.3) — the control module
 // writes the PE/interconnect configuration and memristances once, then the
 // DAC array streams query pairs through the fixed fabric.  ArrayCache is
-// that configuration store: it owns built FullSpice arrays and wavefront
-// DcHarness pools keyed by the configuration that shaped them, so circuit
-// construction, device tuning and solver structure are paid once per
-// configuration instead of once per query.
+// that configuration store for the wavefront backend: it owns DcHarness
+// pools and row arrays keyed by the configuration that shaped them, so
+// circuit construction and solver structure are paid once per configuration
+// instead of once per query.  FullSpice arrays are not cached: a build is
+// under 1% of a transient and no solver state survives a query there.
 //
 // Contract: a result computed through a cached instance is bitwise equal to
 // a fresh-build result (enforced by tests/test_array_cache.cpp).  Instances
@@ -30,7 +31,6 @@
 #include "core/backend.hpp"
 #include "core/config.hpp"
 #include "core/dc_harness.hpp"
-#include "spice/transient.hpp"
 
 namespace mda::core {
 
@@ -53,18 +53,16 @@ enum class InstanceType : std::uint8_t {
   MatrixWavefront = 1,  ///< Per-weight matrix-PE harness pool.
   HaudWavefront = 2,    ///< Column harnesses + final diode max.
   RowWavefront = 3,     ///< Whole row array, DC operating point.
-  FullSpiceArray = 4,   ///< Whole array + persistent transient simulator.
 };
 
 /// Fold the cache key for one (instance type, configuration, query shape).
 /// Covers: kind, m, n, threshold, band, array geometry, voltage encoding
 /// (voltage_resolution / vstep / v_max / effective vstep / range scale),
-/// converter bits, quantisation flags and the weights digest.  FullSpice
-/// entries additionally fold the fault-plan seed and attempt index — device
-/// state depends on injection/re-tuning there (and caching is bypassed
-/// under an active plan; see backend_fullspice.cpp).  `env` is not folded:
-/// a cache never outlives the AcceleratorConfig that created it with one
-/// fixed env.
+/// converter bits, quantisation flags and the weights digest.  The fault
+/// plan and attempt are not folded: every cached instance is plan- and
+/// attempt-invariant (cell faults apply to the solved value).  `env` is not
+/// folded either: a cache never outlives the AcceleratorConfig that created
+/// it with one fixed env.
 InstanceKey make_instance_key(InstanceType type, const AcceleratorConfig& cfg,
                               const DistanceSpec& spec,
                               const EncodedInputs& enc, std::size_t m,
@@ -101,7 +99,6 @@ class ArrayCache {
 
     std::shared_ptr<ArrayCache> cache_;  ///< null = locally owned instance.
     InstanceKey key_{};
-    std::uint64_t gen_ = 0;  ///< Cache generation at checkout time.
     std::unique_ptr<Instance> inst_;
   };
 
@@ -125,15 +122,6 @@ class ArrayCache {
 
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
-  /// Scrub barrier (DESIGN.md §14): drop every idle instance and bump the
-  /// cache generation, so instances still checked out are *discarded* on
-  /// give_back instead of re-pooled.  After a re-tune (fault_attempt bump,
-  /// plan swap) every later checkout therefore builds — and program-and-
-  /// verifies — against the new device state; a query can never lease a
-  /// half-tuned array left over from before the scrub.
-  void invalidate_all();
-  [[nodiscard]] std::uint64_t generation() const;
-
  private:
   struct Entry {
     std::vector<std::unique_ptr<Instance>> idle;
@@ -143,8 +131,7 @@ class ArrayCache {
   /// Pop an idle instance for `key` (hit), or register a miss.  Returns
   /// null when the caller must build.
   std::unique_ptr<Instance> take(const InstanceKey& key);
-  void give_back(const InstanceKey& key, std::unique_ptr<Instance> inst,
-                 std::uint64_t gen);
+  void give_back(const InstanceKey& key, std::unique_ptr<Instance> inst);
   /// Pre: mu_ held.  Evict least-recently-used entries down to capacity.
   void evict_to_capacity_locked();
   void publish_gauges_locked() const;
@@ -152,7 +139,6 @@ class ArrayCache {
   mutable std::mutex mu_;
   std::size_t capacity_;
   std::uint64_t tick_ = 0;
-  std::uint64_t generation_ = 0;  ///< Bumped by invalidate_all().
   std::map<InstanceKey, Entry> entries_;
   Stats stats_{};
 };
@@ -179,22 +165,19 @@ struct HaudWavefrontInstance : ArrayCache::Instance {
   }
 };
 
-/// Whole-array instance (row wavefront and FullSpice): the built circuit
-/// plus a persistent simulator whose MNA structure cache survives queries.
-struct SimArrayInstance : ArrayCache::Instance {
-  ArrayCircuit array;
-  std::unique_ptr<spice::TransientSimulator> sim;
-  bool built = false;
+/// Row wavefront (HamD/MD): the whole row array plus a persistent simulator
+/// whose MNA structure cache survives queries.
+struct RowWavefrontInstance : ArrayCache::Instance {
+  SimArray built;
+
+  explicit RowWavefrontInstance(SimArray a) : built(std::move(a)) {}
 
   /// Discard cross-query solver state.  Device states are reset by the
-  /// simulator itself at the start of every run()/dc_operating_point().
-  void begin_query() {
-    if (sim) sim->mna().reset_solver_state();
-  }
+  /// simulator itself at the start of every dc_operating_point().
+  void begin_query() { built.sim->mna().reset_solver_state(); }
   [[nodiscard]] std::size_t approx_bytes() const override {
-    if (!built) return 0;
-    return array.net->num_devices() * 256 +
-           static_cast<std::size_t>(sim ? sim->mna().num_unknowns() : 0) * 64;
+    return built.array.net->num_devices() * 256 +
+           static_cast<std::size_t>(built.sim->mna().num_unknowns()) * 64;
   }
 };
 

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "core/array_builder.hpp"
-#include "core/array_cache.hpp"
 #include "core/backend.hpp"
 #include "core/dac_adc.hpp"
 #include "core/tuning.hpp"
@@ -241,35 +240,6 @@ AnalogEval unpack_transient(const AcceleratorConfig& config,
   return result;
 }
 
-/// Check out the FullSpice array instance for `enc` from `cache` (null: a
-/// per-query throwaway) and ready it for a query (DESIGN.md §11): built on
-/// first use, otherwise only its solver state is reset — run() itself
-/// resets device states, and the caller rewrites the source waveforms.
-ArrayCache::Lease lease_array(const std::shared_ptr<ArrayCache>& cache,
-                              const AcceleratorConfig& config,
-                              const DistanceSpec& spec,
-                              const EncodedInputs& enc) {
-  ArrayCache::Lease lease = ArrayCache::checkout(
-      cache,
-      make_instance_key(InstanceType::FullSpiceArray, config, spec, enc,
-                        enc.p_volts.size(), enc.q_volts.size()),
-      [] { return std::make_unique<SimArrayInstance>(); });
-  auto* inst = static_cast<SimArrayInstance*>(lease.get());
-  if (!inst->built) {
-    // Bake the effective Vstep into the generated bias sources.
-    AcceleratorConfig cfg = config;
-    cfg.vstep = enc.vstep_eff;
-    inst->array =
-        build_array(cfg, spec, enc.p_volts.size(), enc.q_volts.size());
-    inst->sim = std::make_unique<spice::TransientSimulator>(*inst->array.net);
-    inst->sim->probe(inst->array.out, "out");
-    inst->built = true;
-  } else {
-    inst->begin_query();
-  }
-  return lease;
-}
-
 }  // namespace
 
 AnalogEval eval_full_spice(const AcceleratorConfig& config,
@@ -292,15 +262,11 @@ AnalogEval eval_full_spice(const AcceleratorConfig& config,
     return result;
   }
 
-  // Configure-once, stream-many (DESIGN.md §11): the built array and its
-  // simulator persist across same-configuration queries.  An active fault
-  // plan bypasses the cache: injection and re-tuning mutate persistent
-  // memristor/op-amp state (force_stuck survives reset_state()), so those
-  // arrays must stay per-query throwaways.
-  const ArrayCache::Lease lease = lease_array(
-      config.faults ? nullptr : config.array_cache, config, spec, enc);
-  auto* inst = static_cast<SimArrayInstance*>(lease.get());
-  ArrayCircuit& array = inst->array;
+  // Every evaluation builds its own array (DESIGN.md §11): the build is
+  // under 1% of a transient, and injection and re-tuning below mutate
+  // persistent memristor/op-amp state (force_stuck survives reset_state()).
+  SimArray built = build_sim_array(config, spec, enc);
+  ArrayCircuit& array = built.array;
 
   if (config.faults) {
     const auto& mems = array.factory->memristors();
@@ -337,7 +303,7 @@ AnalogEval eval_full_spice(const AcceleratorConfig& config,
   params.t_stop = t_stop > 0.0
                       ? t_stop
                       : default_t_stop(spec.kind, array.m, array.n);
-  spice::TransientResult tr = inst->sim->run(params);
+  spice::TransientResult tr = built.sim->run(params);
   AnalogEval unpacked = unpack_transient(config, tr);
   unpacked.fault_detected = unpacked.fault_detected || result.fault_detected;
   return unpacked;
@@ -354,9 +320,9 @@ std::vector<AnalogEval> eval_full_spice_batch(
   const std::size_t nlanes = encs.size();
   std::vector<AnalogEval> out;
   out.reserve(nlanes);
-  // Fault plans mutate persistent device state per query and bypass the
-  // instance cache; keep those evaluations strictly serial (and let
-  // single-lane batches take the identical scalar path).
+  // Fault plans mutate persistent device state per query; keep those
+  // evaluations strictly serial (and let single-lane batches take the
+  // identical scalar path).
   if (nlanes < 2 || config.faults) {
     for (const EncodedInputs& enc : encs) {
       out.push_back(evaluate(Backend::FullSpice, config, spec, enc, t_stop));
@@ -369,22 +335,19 @@ std::vector<AnalogEval> eval_full_spice_batch(
   groups.add();
   lanes.add(static_cast<std::uint64_t>(nlanes));
 
-  // One lease per lane, all held for the duration of the batch: concurrent
-  // checkouts of one key grow the per-key instance pool, so the lanes get
-  // distinct simulators.
-  std::vector<ArrayCache::Lease> leases;
-  leases.reserve(nlanes);
+  // Each lane builds its own array, exactly as eval_full_spice would.
+  std::vector<SimArray> arrays;
+  arrays.reserve(nlanes);
   std::vector<spice::TransientSimulator*> sims(nlanes);
   std::vector<spice::TransientParams> params(nlanes);
   for (std::size_t i = 0; i < nlanes; ++i) {
     const EncodedInputs& enc = encs[i];
-    leases.push_back(lease_array(config.array_cache, config, spec, enc));
-    auto* inst = static_cast<SimArrayInstance*>(leases.back().get());
-    inst->array.set_step_inputs(enc.p_volts, enc.q_volts, /*t_edge=*/0.0);
+    SimArray& lane = arrays.emplace_back(build_sim_array(config, spec, enc));
+    lane.array.set_step_inputs(enc.p_volts, enc.q_volts, /*t_edge=*/0.0);
     params[i].t_stop =
         t_stop > 0.0 ? t_stop
-                     : default_t_stop(spec.kind, inst->array.m, inst->array.n);
-    sims[i] = inst->sim.get();
+                     : default_t_stop(spec.kind, lane.array.m, lane.array.n);
+    sims[i] = lane.sim.get();
   }
 
   std::vector<spice::TransientResult> trs = spice::run_transient_lockstep(

@@ -252,26 +252,20 @@ AnalogEval eval_row_wavefront(const AcceleratorConfig& config,
       config.array_cache,
       make_instance_key(InstanceType::RowWavefront, config, spec, enc,
                         enc.p_volts.size(), enc.q_volts.size()),
-      [] { return std::make_unique<SimArrayInstance>(); });
-  auto* inst = static_cast<SimArrayInstance*>(lease.get());
-  if (!inst->built) {
-    AcceleratorConfig cfg = config;
-    cfg.vstep = enc.vstep_eff;
-    inst->array =
-        build_array(cfg, spec, enc.p_volts.size(), enc.q_volts.size());
-    inst->sim = std::make_unique<spice::TransientSimulator>(*inst->array.net);
-    inst->built = true;
-  } else {
-    inst->begin_query();
-  }
-  inst->array.set_dc_inputs(enc.p_volts, enc.q_volts);
-  std::vector<double> x = inst->sim->dc_operating_point();
+      [&] {
+        return std::make_unique<RowWavefrontInstance>(
+            build_sim_array(config, spec, enc));
+      });
+  auto* inst = static_cast<RowWavefrontInstance*>(lease.get());
+  inst->begin_query();
+  inst->built.array.set_dc_inputs(enc.p_volts, enc.q_volts);
+  std::vector<double> x = inst->built.sim->dc_operating_point();
   if (x.empty()) {
     result.error = "row-array DC operating point failed";
     return result;
   }
   result.ok = true;
-  result.out_volts = x[static_cast<std::size_t>(inst->array.out)];
+  result.out_volts = x[static_cast<std::size_t>(inst->built.array.out)];
   return result;
 }
 

@@ -39,19 +39,13 @@ struct FaultHandling {
   /// Re-tune tunable (drifted) devices before each retry attempt,
   /// reusing the Sec. 3.3 modulate/verify loop.
   bool retune_on_retry = true;
-  /// Fall through to lower-fidelity backends when retries are exhausted.
+  /// Fall through to lower-fidelity backends (FullSpice -> Wavefront ->
+  /// Behavioral, from the configured backend) when retries are exhausted.
   bool degrade = true;
-  /// Explicit degradation chain; empty = derive FullSpice -> Wavefront ->
-  /// Behavioral starting at the configured backend.
-  std::vector<Backend> degradation;
 
   /// Output range check against the module's physical envelope.
   bool envelope_check = true;
   double envelope_margin = 0.10;  ///< Relative widening of [0, v_max].
-  /// Cross-check decoded values against the behavioral backend (off by
-  /// default: it doubles the cost of behavioral-only runs).
-  bool cross_check = false;
-  double cross_check_tol = 0.25;  ///< Relative, with the counting floor.
 
   /// Per-cell residual check in the wavefront backend; deviant cells are
   /// quarantined (replaced by the ideal prediction).
@@ -86,9 +80,10 @@ struct AcceleratorConfig {
   Backend backend = Backend::Wavefront;
 
   /// LRU capacity (distinct configurations) of the cross-query instance
-  /// cache (DESIGN.md §11): built arrays/harnesses are reset and reused
-  /// between same-configuration queries instead of rebuilt.  0 disables
-  /// cross-query reuse (fresh build per query).
+  /// cache (DESIGN.md §11): built wavefront harnesses and row arrays are
+  /// reset and reused between same-configuration queries instead of
+  /// rebuilt.  0 disables cross-query reuse (fresh build per query).
+  /// FullSpice always builds per evaluation.
   std::size_t cache_capacity = 8;
   /// The instance cache itself.  Installed by the Accelerator constructor
   /// when cache_capacity > 0 (or pre-seeded by a campaign so per-query

@@ -6,9 +6,8 @@
 // periodically scans registered targets and, when a target's expected-error
 // score crosses its unhealthy threshold AND the target reports an idle
 // window, runs the target's scrub action — for a serve replica that means
-// drain the queue, bump the accelerator's program-and-verify attempt,
-// invalidate its ArrayCache generation (so a query can never lease a
-// half-tuned instance) and re-probe.  The scheduler itself is policy-free
+// drain the queue, bump the accelerator's program-and-verify attempt and
+// re-probe.  The scheduler itself is policy-free
 // glue over std::function hooks, so campaigns, tests and the server all
 // reuse it without the scheduler knowing about shards.
 //
@@ -36,7 +35,7 @@ struct ScrubTarget {
   /// True when the target can be scrubbed right now (idle window).  A busy
   /// target is skipped this scan and re-examined on the next one.
   std::function<bool()> idle;
-  /// Perform the scrub (drain, re-tune, invalidate, re-probe).  Returns
+  /// Perform the scrub (drain, re-tune, re-probe).  Returns
   /// false when the scrub could not run; the scan counts it as a failure.
   std::function<bool()> scrub;
   /// Optional cheap periodic health probe, run once per scan before the

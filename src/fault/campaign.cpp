@@ -48,7 +48,7 @@ CampaignReport run_campaign(const CampaignConfig& config) {
   // One instance cache shared across the per-query accelerators (DESIGN.md
   // §11): wavefront harnesses are fault-plan-invariant (cell faults apply at
   // the measured-value level), so the whole campaign amortises one build.
-  // FullSpice arrays bypass the cache whenever a plan is active.
+  // FullSpice arrays are never cached: each evaluation builds its own.
   if (!base.array_cache && base.cache_capacity > 0) {
     base.array_cache = std::make_shared<core::ArrayCache>(base.cache_capacity);
   }

@@ -201,8 +201,8 @@ struct Server::Impl {
     return s;
   }
 
-  /// One shard replica: its own accelerator (own instance cache — a scrub
-  /// invalidation must never touch a sibling), its own health scoreboard,
+  /// One shard replica: its own accelerator (with its own instance cache:
+  /// each replica models a separate array), its own health scoreboard,
   /// queue and worker.  `solve_mutex` serialises solves against scrub /
   /// fault-injection / restart, so no query ever observes a half-tuned
   /// array; `admin_mu` serialises state transitions.
@@ -846,8 +846,8 @@ struct Server::Impl {
   /// Check the replica out, re-run program-and-verify, re-probe, return it.
   /// Queries can never observe a half-tuned array: admission stops routing
   /// here the moment the state flips, requests already queued wait on
-  /// solve_mutex, and retune() bumps the instance-cache generation so any
-  /// lease handed out earlier is dropped on give-back instead of reused.
+  /// solve_mutex, and the re-tune reaches only the FullSpice arrays that
+  /// later evaluations build for themselves.
   bool do_scrub(Shard& shard, Replica& r) {
     (void)shard;
     {

@@ -1,13 +1,15 @@
 // Cross-query instance cache (DESIGN.md §11): bit-identity of cached vs
-// fresh-build results across all six kinds and thread counts {1, 2, 8},
-// including under an active FaultPlan; cache bookkeeping (hits, eviction,
-// checkout pooling); quantized weight keying; and the encode_inputs
+// fresh-build wavefront results across all six kinds and thread counts
+// {1, 2, 8}, including under an active FaultPlan; FullSpice staying out of
+// the cache on its scalar and lockstep paths; cache bookkeeping (hits,
+// eviction, checkout pooling); quantized weight keying; and the encode_inputs
 // degenerate-input hardening that rides along in this change.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "core/accelerator.hpp"
@@ -112,31 +114,59 @@ TEST_P(CacheBitIdentity, WavefrontCachedEqualsFreshAtAnyThreadCount) {
 INSTANTIATE_TEST_SUITE_P(AllSix, CacheBitIdentity,
                          ::testing::ValuesIn(dist::kAllKinds));
 
-TEST(CacheBitIdentityFullSpice, CachedEqualsFreshDtwAndManhattan) {
+TEST(CacheBitIdentityFullSpice, BuildsPerEvaluationOutsideTheCache) {
+  // FullSpice builds its array per evaluation: a default-cache accelerator
+  // must leave the cache untouched on the scalar path and on the width-8
+  // lockstep path, and agree bit for bit with a cache-less accelerator.
   for (const dist::DistanceKind kind :
        {dist::DistanceKind::Dtw, dist::DistanceKind::Manhattan}) {
-    const Stream stream = make_stream(kind, 3, 4);
+    const Stream stream = make_stream(kind, 8, 3);
     const auto& queries = stream.queries;
     core::DistanceSpec spec;
     spec.kind = kind;
+    const std::string name = dist::kind_name(kind);
+    const char* what = name.c_str();
 
     core::AcceleratorConfig fresh_cfg;
     fresh_cfg.backend = core::Backend::FullSpice;
     fresh_cfg.cache_capacity = 0;
     core::Accelerator fresh(fresh_cfg);
     fresh.configure(spec);
+    std::vector<core::ComputeResult> want;
+    for (const auto& q : queries) {
+      want.push_back(fresh.try_compute(q.p, q.q).unwrap());
+    }
 
     core::AcceleratorConfig cached_cfg;
     cached_cfg.backend = core::Backend::FullSpice;
     core::Accelerator cached(cached_cfg);
     cached.configure(spec);
+    ASSERT_NE(cached.config().array_cache, nullptr);
+    auto expect_untouched = [&](const char* path) {
+      const core::ArrayCache::Stats stats =
+          cached.config().array_cache->stats();
+      EXPECT_EQ(stats.hits, 0u) << what << " " << path;
+      EXPECT_EQ(stats.misses, 0u) << what << " " << path;
+      EXPECT_EQ(stats.entries, 0u) << what << " " << path;
+    };
 
-    for (const auto& q : queries) {
-      const core::ComputeResult want = fresh.try_compute(q.p, q.q).unwrap();
-      const core::ComputeResult got = cached.try_compute(q.p, q.q).unwrap();
-      expect_bitwise_equal(want, got, dist::kind_name(kind).c_str());
+    expect_bitwise_equal(
+        want[0], cached.try_compute(queries[0].p, queries[0].q).unwrap(),
+        what);
+    expect_untouched("scalar");
+
+    core::BatchOptions opts;
+    opts.num_threads = 1;
+    opts.solver_batch_width = 8;
+    core::BatchEngine engine(opts);
+    const std::vector<core::ComputeOutcome> got =
+        engine.try_compute_batch(cached, queries);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_TRUE(got[i].ok()) << what << " " << i;
+      expect_bitwise_equal(want[i], got[i].value(), what);
     }
-    EXPECT_GT(cached.config().array_cache->stats().hits, 0u);
+    expect_untouched("lockstep");
   }
 }
 

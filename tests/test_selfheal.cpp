@@ -1,8 +1,7 @@
 // Self-healing serving tests (DESIGN.md §14): health-scoreboard units
 // (EWMAs, quadrature expected-error, hysteresis, reset/generation), scrub
 // scheduler units (probe hook, threshold trigger, idle skip, background
-// thread), the ArrayCache generation barrier (a scrub can never re-pool a
-// half-tuned instance), accelerator retune healing drifted cell plans,
+// thread), accelerator retune healing drifted cell plans,
 // scrub-quiescent bit-identity across thread counts, and the serving
 // layer's replica lifecycle — health frame loopback, kill/failover/restart,
 // scrub-then-serve identity, hedged requests, client auto-reconnect and
@@ -19,7 +18,6 @@
 #include <vector>
 
 #include "core/accelerator.hpp"
-#include "core/array_cache.hpp"
 #include "core/backend.hpp"
 #include "core/query.hpp"
 #include "core/scrub.hpp"
@@ -176,45 +174,6 @@ TEST(ScrubScheduler, BackgroundThreadScansUntilStopped) {
   const int after = probes.load();
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   EXPECT_EQ(probes.load(), after);  // No scans after stop().
-}
-
-// ------------------------------------------- cache generation barrier -----
-
-struct CountedInstance : core::ArrayCache::Instance {
-  static std::atomic<int> live;
-  CountedInstance() { ++live; }
-  ~CountedInstance() override { --live; }
-};
-std::atomic<int> CountedInstance::live{0};
-
-TEST(ArrayCacheGeneration, InvalidateDropsIdleAndInFlightLeases) {
-  auto cache = std::make_shared<core::ArrayCache>(/*capacity=*/4);
-  const core::InstanceKey key{1, 2};
-  const auto build = [] { return std::make_unique<CountedInstance>(); };
-
-  // An idle instance from before the scrub is dropped outright.
-  { auto lease = core::ArrayCache::checkout(cache, key, build); }
-  EXPECT_EQ(cache->stats().entries, 1u);
-  EXPECT_EQ(cache->generation(), 0u);
-  cache->invalidate_all();
-  EXPECT_EQ(cache->generation(), 1u);
-  EXPECT_EQ(cache->stats().entries, 0u);
-  EXPECT_EQ(CountedInstance::live.load(), 0);
-
-  // The half-tuned-lease barrier: an instance checked out BEFORE the scrub
-  // must not be re-pooled on give-back — the next checkout re-builds (and
-  // re-verifies) against the new device state.
-  {
-    auto lease = core::ArrayCache::checkout(cache, key, build);
-    cache->invalidate_all();
-  }  // give_back with a stale generation: discarded, not pooled.
-  EXPECT_EQ(cache->stats().entries, 0u);
-  EXPECT_EQ(CountedInstance::live.load(), 0);
-  {
-    auto lease = core::ArrayCache::checkout(cache, key, build);
-  }  // Current generation: re-pooled normally.
-  EXPECT_EQ(cache->stats().entries, 1u);
-  EXPECT_EQ(CountedInstance::live.load(), 1);
 }
 
 // ------------------------------------------------ retune + bit identity ---
