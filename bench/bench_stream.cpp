@@ -2,16 +2,17 @@
 // (DESIGN.md §11).  The paper's deployment model is configure once, stream
 // many (Fig. 1, §3.3): the control module writes the PE configuration once
 // and the DAC array streams query pairs through the fixed fabric.  This
-// bench measures exactly that amortisation: a kNN-shaped stream (one probe
-// against many candidates, same configuration throughout) evaluated fresh
-// (cache_capacity = 0, rebuild per query) versus cached (default LRU), for
-// every distance kind on the wavefront backend.  FullSpice builds its array
-// per evaluation and never touches the cache, so it has no cached side.
+// bench runs a kNN-shaped stream (one probe against many candidates, same
+// configuration throughout) fresh (cache_capacity = 0, rebuild per query)
+// and cached (default LRU), for every distance kind on the wavefront
+// backend.  Only the HamD/MD row arrays are cached; DTW, LCS, EdD and HauD
+// build their harnesses per evaluation, so both of their sides run the same
+// code and read cache_hits 0.  FullSpice never touches the cache.
 //
 // Two speedups are reported per kind (DESIGN.md §11):
-//  * wall-clock — simulator time saved by instance reuse.  Structurally
-//    bounded: the solve dominates a simulated query, so skipping rebuilds
-//    can only shave the build fraction;
+//  * wall-clock — simulator time saved by row-array reuse (about 1 for the
+//    uncached kinds).  Structurally bounded: the solve dominates a simulated
+//    query, so skipping rebuilds can only shave the build fraction;
 //  * hw_stream_speedup — the paper's deployment-level number, from the
 //    modeled hardware times: programming the fabric before every query
 //    (Accelerator::configuration_time_s) versus programming it once and
@@ -79,7 +80,6 @@ struct KindRun {
   double cached_s = 0.0;
   bool bit_identical = true;
   std::uint64_t hits = 0;
-  std::uint64_t builds_avoided = 0;
   // Modeled hardware times (DESIGN.md §11): the fabric programming cost the
   // configure-once deployment pays once, and the summed per-query analog
   // evaluation time of the stream.
@@ -140,9 +140,7 @@ KindRun run_kind(dist::DistanceKind kind, std::size_t queries,
   run.queries = got.size();
   run.hw_config_s = cached.configuration_time_s();
   for (const auto& r : got) run.hw_query_s += r.convergence_time_s;
-  const core::ArrayCache::Stats stats = cached.config().array_cache->stats();
-  run.hits = stats.hits;
-  run.builds_avoided = stats.builds_avoided;
+  run.hits = cached.config().array_cache->stats().hits;
   return run;
 }
 
@@ -185,7 +183,6 @@ int run_json_bench(const std::string& path, int argc, char** argv) {
     w.field("cached_seconds", run.cached_s);
     w.field("speedup", run.speedup());
     w.field("cache_hits", run.hits);
-    w.field("builds_avoided", run.builds_avoided);
     w.field("hw_configuration_seconds", run.hw_config_s);
     w.field("hw_stream_query_seconds", run.hw_query_s);
     w.field("hw_stream_speedup", run.hw_stream_speedup());
@@ -232,8 +229,8 @@ void BM_StreamWavefront(benchmark::State& state) {
                           static_cast<std::int64_t>(s.candidates.size()));
 }
 BENCHMARK(BM_StreamWavefront)
-    ->Args({static_cast<long>(dist::DistanceKind::Dtw), 0})
-    ->Args({static_cast<long>(dist::DistanceKind::Dtw), 1})
+    ->Args({static_cast<long>(dist::DistanceKind::Hamming), 0})
+    ->Args({static_cast<long>(dist::DistanceKind::Hamming), 1})
     ->Args({static_cast<long>(dist::DistanceKind::Manhattan), 0})
     ->Args({static_cast<long>(dist::DistanceKind::Manhattan), 1})
     ->Unit(benchmark::kMillisecond);

@@ -3,6 +3,7 @@
 #include <bit>
 #include <utility>
 
+#include "core/dc_harness.hpp"
 #include "obs/metrics.hpp"
 
 namespace mda::core {
@@ -17,10 +18,6 @@ const obs::Counter& hits_ctr() {
 }
 const obs::Counter& misses_ctr() {
   static const obs::Counter c("mda.cache.misses");
-  return c;
-}
-const obs::Counter& builds_avoided_ctr() {
-  static const obs::Counter c("mda.cache.builds_avoided");
   return c;
 }
 const obs::Counter& evictions_ctr() {
@@ -49,12 +46,11 @@ struct KeyFolder {
 
 }  // namespace
 
-InstanceKey make_instance_key(InstanceType type, const AcceleratorConfig& cfg,
+InstanceKey make_instance_key(const AcceleratorConfig& cfg,
                               const DistanceSpec& spec,
                               const EncodedInputs& enc, std::size_t m,
                               std::size_t n) {
   KeyFolder f;
-  f.fold(static_cast<std::uint64_t>(type));
   f.fold(static_cast<std::uint64_t>(spec.kind));
   f.fold(m);
   f.fold(n);
@@ -68,10 +64,10 @@ InstanceKey make_instance_key(InstanceType type, const AcceleratorConfig& cfg,
   f.fold(static_cast<std::uint64_t>(cfg.dac_bits));
   f.fold(static_cast<std::uint64_t>(cfg.adc_bits));
   f.fold(cfg.quantize_inputs ? 1 : 0);
-  // The built circuits bake the *effective* encoding of this query shape:
-  // vthre biases scale with enc.scale, Vstep biases with enc.vstep_eff.
-  // Both are pure functions of (kind, m, n, config) for fixed-length
-  // streams, but folding them keeps the key safe for mixed streams.
+  // The built circuits bake the *effective* encoding of this query: vthre
+  // biases scale with enc.scale, Vstep biases with enc.vstep_eff.  vstep_eff
+  // is a pure function of (kind, m, n, config); scale also follows the
+  // inputs' range when MD compresses it, so both are folded.
   f.fold_double(enc.scale);
   f.fold_double(enc.vstep_eff);
   f.fold(spec.pair_weights ? weights_digest(*spec.pair_weights) : 0);
@@ -134,11 +130,6 @@ std::unique_ptr<ArrayCache::Instance> ArrayCache::take(const InstanceKey& key) {
   it->second.idle.pop_back();
   ++stats_.hits;
   hits_ctr().add();
-  // One checkout hit avoids exactly one instance build, whatever the
-  // instance carries inside (a HauD instance holds a column pool *plus* the
-  // final max stage, but a miss would have built it with one BuildFn call).
-  ++stats_.builds_avoided;
-  builds_avoided_ctr().add();
   stats_.resident_bytes -= std::min(stats_.resident_bytes,
                                     inst->approx_bytes());
   publish_gauges_locked();

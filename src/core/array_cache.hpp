@@ -1,13 +1,12 @@
 #pragma once
-// Cross-query instance cache (DESIGN.md §11): the paper's deployment model
-// is configure once, stream queries (Fig. 1, §3.3) — the control module
-// writes the PE/interconnect configuration and memristances once, then the
-// DAC array streams query pairs through the fixed fabric.  ArrayCache is
-// that configuration store for the wavefront backend: it owns DcHarness
-// pools and row arrays keyed by the configuration that shaped them, so
-// circuit construction and solver structure are paid once per configuration
-// instead of once per query.  FullSpice arrays are not cached: a build is
-// under 1% of a transient and no solver state survives a query there.
+// Cross-query instance cache (DESIGN.md §11): keeps built HamD/MD row arrays
+// between queries, keyed by the configuration that shaped them, so a stream
+// of same-shape queries pays circuit construction and the row solver's MNA
+// structure and LU analysis once.  Only the row arrays are cached, because
+// only there does the saving outweigh the bookkeeping: matrix-PE (DTW/LCS/
+// EdD) and HauD harnesses and FullSpice arrays are built per evaluation.
+// The paper's configure-once, stream-many deployment (Fig. 1, §3.3) is a
+// property of the hardware, modelled by timing_model, not of this cache.
 //
 // Contract: a result computed through a cached instance is bitwise equal to
 // a fresh-build result (enforced by tests/test_array_cache.cpp).  Instances
@@ -30,7 +29,6 @@
 #include "core/array_builder.hpp"
 #include "core/backend.hpp"
 #include "core/config.hpp"
-#include "core/dc_harness.hpp"
 
 namespace mda::core {
 
@@ -48,29 +46,23 @@ struct InstanceKey {
   }
 };
 
-/// What kind of circuit an entry holds (folded into the key).
-enum class InstanceType : std::uint8_t {
-  MatrixWavefront = 1,  ///< Per-weight matrix-PE harness pool.
-  HaudWavefront = 2,    ///< Column harnesses + final diode max.
-  RowWavefront = 3,     ///< Whole row array, DC operating point.
-};
-
-/// Fold the cache key for one (instance type, configuration, query shape).
+/// Fold the cache key for one (configuration, query shape) of a row array.
 /// Covers: kind, m, n, threshold, band, array geometry, voltage encoding
 /// (voltage_resolution / vstep / v_max / effective vstep / range scale),
 /// converter bits, quantisation flags and the weights digest.  The fault
-/// plan and attempt are not folded: every cached instance is plan- and
-/// attempt-invariant (cell faults apply to the solved value).  `env` is not
-/// folded either: a cache never outlives the AcceleratorConfig that created
-/// it with one fixed env.
-InstanceKey make_instance_key(InstanceType type, const AcceleratorConfig& cfg,
+/// plan and attempt are not folded: a row array is plan- and
+/// attempt-invariant (the plan acts at the ADC readout, after the solve).
+/// `env` is not folded either: a cache never outlives the AcceleratorConfig
+/// that created it with one fixed env.
+InstanceKey make_instance_key(const AcceleratorConfig& cfg,
                               const DistanceSpec& spec,
                               const EncodedInputs& enc, std::size_t m,
                               std::size_t n);
 
 class ArrayCache {
  public:
-  /// A cached circuit instance.  Concrete subtypes below.
+  /// A cached circuit instance (RowWavefrontInstance below; the mechanics
+  /// tests lease bare instances).
   class Instance {
    public:
     virtual ~Instance() = default;
@@ -113,7 +105,6 @@ class ArrayCache {
   struct Stats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
-    std::uint64_t builds_avoided = 0;
     std::uint64_t evictions = 0;
     std::size_t entries = 0;
     std::size_t resident_bytes = 0;
@@ -144,26 +135,6 @@ class ArrayCache {
 };
 
 // ------------------------------------------------------------ instances --
-
-/// Matrix wavefront (DTW/LCS/EdD): per-weight single-PE harness pool.
-struct MatrixWavefrontInstance : ArrayCache::Instance {
-  HarnessCache harnesses;
-
-  void begin_query() { harnesses.reset_all(); }
-  [[nodiscard]] std::size_t approx_bytes() const override {
-    return harnesses.approx_bytes();
-  }
-};
-
-/// HauD wavefront: per-weights-column harness pool + the final diode max.
-struct HaudWavefrontInstance : ArrayCache::Instance {
-  std::unique_ptr<DcHarness> finmax;
-  HarnessCache columns;
-
-  [[nodiscard]] std::size_t approx_bytes() const override {
-    return columns.approx_bytes() + (finmax ? finmax->approx_bytes() : 0);
-  }
-};
 
 /// Row wavefront (HamD/MD): the whole row array plus a persistent simulator
 /// whose MNA structure cache survives queries.

@@ -65,8 +65,8 @@ struct AnalogEval {
   bool fault_detected = false;
 };
 
-/// Whole-array transient evaluation.  `config.env` supplies device models;
-/// `probe_pes` additionally records every PE output trace when true.
+/// Whole-array transient evaluation of an array built for this evaluation.
+/// `config.env` supplies device models.
 AnalogEval eval_full_spice(const AcceleratorConfig& config,
                            const DistanceSpec& spec, const EncodedInputs& enc,
                            double t_stop = 0.0 /* 0 = auto */);
@@ -92,8 +92,8 @@ AnalogEval evaluate(Backend backend, const AcceleratorConfig& config,
 
 /// Batched whole-array transient evaluation (DESIGN.md §12): runs every
 /// encoded query of one configuration in lockstep through one
-/// run_transient_lockstep call, leasing one cached array instance per lane
-/// for the duration of the batch.  Result i — and every solver metric — is
+/// run_transient_lockstep call, over one array built per lane for this
+/// batch.  Result i — and every solver metric — is
 /// bit-identical to eval_full_spice(config, spec, encs[i], t_stop) run
 /// serially.  Single-lane batches (and any call under an active fault plan)
 /// delegate to the scalar evaluation path directly.

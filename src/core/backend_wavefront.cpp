@@ -26,20 +26,9 @@ AnalogEval eval_matrix_wavefront(const AcceleratorConfig& config,
   const std::size_t n = enc.q_volts.size();
   const double vthre = spec.threshold * config.voltage_resolution * enc.scale;
 
-  // Configure-once, stream-many (DESIGN.md §11): the per-weight harness
-  // pool persists across same-configuration queries; begin_query() resets
-  // each pooled harness to fresh-built numeric state, so the wavefront
-  // replays a cold run's arithmetic bit for bit.
-  ArrayCache::Lease lease = ArrayCache::checkout(
-      config.array_cache,
-      make_instance_key(InstanceType::MatrixWavefront, config, spec, enc, m,
-                        n),
-      [] { return std::make_unique<MatrixWavefrontInstance>(); });
-  auto* inst = static_cast<MatrixWavefrontInstance*>(lease.get());
-  inst->begin_query();
-  auto make = [&](double w) {
-    return make_matrix_pe_harness(spec.kind, config, vthre, enc.vstep_eff, w);
-  };
+  // One harness per distinct weight, built for this evaluation and kept
+  // warm across its cells.
+  HarnessCache harnesses;
 
   // DP grid of measured analog voltages, with function-specific borders.
   std::vector<double> grid((m + 1) * (n + 1), 0.0);
@@ -115,8 +104,10 @@ AnalogEval eval_matrix_wavefront(const AcceleratorConfig& config,
           break;
       }
 
-      DcHarness& h =
-          inst->harnesses.get(weight_key(w), [&] { return make(w); });
+      DcHarness& h = harnesses.get(weight_key(w), [&] {
+        return make_matrix_pe_harness(spec.kind, config, vthre, enc.vstep_eff,
+                                      w);
+      });
       set_sources(h, {enc.p_volts[i - 1], enc.q_volts[j - 1], left, up, diag});
       double solved = 0.0;
       bool solved_ok = true;
@@ -165,8 +156,8 @@ AnalogEval eval_matrix_wavefront(const AcceleratorConfig& config,
       if (at_tile_edge(i, j)) at(i, j) = edge_adc.quantize(at(i, j));
     }
   }
-  result.newton_iterations = inst->harnesses.total_newton();
-  result.solver_fallbacks = inst->harnesses.total_fallbacks();
+  result.newton_iterations = harnesses.total_newton();
+  result.solver_fallbacks = harnesses.total_fallbacks();
   if (fault::watchdog_tripped(result.newton_iterations,
                               config.fault_handling.newton_budget)) {
     if (config.health) config.health->record_watchdog_trip();
@@ -186,24 +177,18 @@ AnalogEval eval_haud_wavefront(const AcceleratorConfig& config,
   const std::size_t m = enc.p_volts.size();
   const std::size_t n = enc.q_volts.size();
 
-  ArrayCache::Lease lease = ArrayCache::checkout(
-      config.array_cache,
-      make_instance_key(InstanceType::HaudWavefront, config, spec, enc, m, n),
-      [] { return std::make_unique<HaudWavefrontInstance>(); });
-  auto* inst = static_cast<HaudWavefrontInstance*>(lease.get());
-
   // Final diode max over the n column minima.
-  if (!inst->finmax) {
-    inst->finmax = make_haud_finmax_harness(config, n);
-  } else {
-    inst->finmax->reset_for_query();
-  }
-  DcHarness& finmax = *inst->finmax;
+  const std::unique_ptr<DcHarness> finmax =
+      make_haud_finmax_harness(config, n);
 
-  // Column harness lifecycle mirrors the fresh path: the fresh path built a
-  // new (cold) harness at every weights-change boundary, so a pooled
-  // harness is reset — and its counters banked — at exactly those points.
-  DcHarness* column = nullptr;
+  auto bank = [&](const DcHarness& h) {
+    result.newton_iterations += h.newton_total;
+    result.solver_fallbacks += h.fallback_total;
+  };
+
+  // A fresh column harness at every change of the column weights; runs of
+  // equal-weight columns share one warm harness.
+  std::unique_ptr<DcHarness> column;
   std::uint64_t prev_digest = 0;
   for (std::size_t j = 0; j < n; ++j) {
     std::vector<double> weights(m, 1.0);
@@ -214,14 +199,8 @@ AnalogEval eval_haud_wavefront(const AcceleratorConfig& config,
     }
     const std::uint64_t digest = weights_digest(weights);
     if (!column || digest != prev_digest) {
-      if (column) {
-        result.newton_iterations += column->newton_total;
-        result.solver_fallbacks += column->fallback_total;
-      }
-      column = &inst->columns.get(digest, [&] {
-        return make_haud_column_harness(config, m, weights);
-      });
-      column->reset_for_query();
+      if (column) bank(*column);
+      column = make_haud_column_harness(config, m, weights);
       prev_digest = digest;
     }
     for (std::size_t i = 0; i < m; ++i) {
@@ -230,15 +209,12 @@ AnalogEval eval_haud_wavefront(const AcceleratorConfig& config,
       column->sources_[2 * i + 1]->set_waveform(
           spice::Waveform::dc(enc.q_volts[j]));
     }
-    finmax.sources_[j]->set_waveform(spice::Waveform::dc(column->solve_out()));
+    finmax->sources_[j]->set_waveform(
+        spice::Waveform::dc(column->solve_out()));
   }
-  result.out_volts = finmax.solve_out();
-  if (column) {
-    result.newton_iterations += column->newton_total;
-    result.solver_fallbacks += column->fallback_total;
-  }
-  result.newton_iterations += finmax.newton_total;
-  result.solver_fallbacks += finmax.fallback_total;
+  result.out_volts = finmax->solve_out();
+  if (column) bank(*column);
+  bank(*finmax);
   result.ok = true;
   return result;
 }
@@ -250,8 +226,8 @@ AnalogEval eval_row_wavefront(const AcceleratorConfig& config,
   AnalogEval result;
   ArrayCache::Lease lease = ArrayCache::checkout(
       config.array_cache,
-      make_instance_key(InstanceType::RowWavefront, config, spec, enc,
-                        enc.p_volts.size(), enc.q_volts.size()),
+      make_instance_key(config, spec, enc, enc.p_volts.size(),
+                        enc.q_volts.size()),
       [&] {
         return std::make_unique<RowWavefrontInstance>(
             build_sim_array(config, spec, enc));

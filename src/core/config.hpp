@@ -80,10 +80,10 @@ struct AcceleratorConfig {
   Backend backend = Backend::Wavefront;
 
   /// LRU capacity (distinct configurations) of the cross-query instance
-  /// cache (DESIGN.md §11): built wavefront harnesses and row arrays are
-  /// reset and reused between same-configuration queries instead of
-  /// rebuilt.  0 disables cross-query reuse (fresh build per query).
-  /// FullSpice always builds per evaluation.
+  /// cache (DESIGN.md §11): built HamD/MD wavefront row arrays are reset and
+  /// reused between same-configuration queries instead of rebuilt.  0
+  /// disables cross-query reuse (fresh build per query).  Matrix-PE and
+  /// HauD harnesses and FullSpice arrays are always built per evaluation.
   std::size_t cache_capacity = 8;
   /// The instance cache itself.  Installed by the Accelerator constructor
   /// when cache_capacity > 0 (or pre-seeded by a campaign so per-query

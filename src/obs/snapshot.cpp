@@ -185,7 +185,7 @@ bool parse_metric(Parser& p, MetricValue& mv) {
 /// Derived cache amortization summary (DESIGN.md §11); nullopt when no
 /// mda.cache.* metric was ever registered.
 struct CacheSummary {
-  std::uint64_t hits = 0, misses = 0, builds_avoided = 0, evictions = 0;
+  std::uint64_t hits = 0, misses = 0, evictions = 0;
   double entries = 0.0, bytes = 0.0;
   [[nodiscard]] double hit_rate() const {
     const std::uint64_t total = hits + misses;
@@ -205,7 +205,6 @@ std::optional<CacheSummary> cache_summary(const MetricsSnapshot& snap) {
   };
   counter("mda.cache.hits", cs.hits);
   counter("mda.cache.misses", cs.misses);
-  counter("mda.cache.builds_avoided", cs.builds_avoided);
   counter("mda.cache.evictions", cs.evictions);
   if (const MetricValue* m = snap.find("mda.cache.entries")) {
     cs.entries = m->value;
@@ -278,7 +277,6 @@ std::string MetricsSnapshot::to_json() const {
   if (const auto cs = cache_summary(*this)) {
     os << ",\n  \"cache\": {\"hits\": " << cs->hits << ", \"misses\": "
        << cs->misses << ", \"hit_rate\": " << fmt_double(cs->hit_rate())
-       << ", \"builds_avoided\": " << cs->builds_avoided
        << ", \"evictions\": " << cs->evictions << ", \"resident_entries\": "
        << fmt_double(cs->entries) << ", \"resident_bytes\": "
        << fmt_double(cs->bytes) << "}";
@@ -314,12 +312,11 @@ std::string MetricsSnapshot::to_table() const {
     char line[256];
     std::snprintf(line, sizeof line,
                   "\ninstance cache: %llu hits / %llu misses (%.1f%% hit "
-                  "rate), %llu builds avoided, %llu evictions, %.0f resident "
+                  "rate), %llu evictions, %.0f resident "
                   "entries (~%.0f KiB)\n",
                   static_cast<unsigned long long>(cs->hits),
                   static_cast<unsigned long long>(cs->misses),
                   100.0 * cs->hit_rate(),
-                  static_cast<unsigned long long>(cs->builds_avoided),
                   static_cast<unsigned long long>(cs->evictions), cs->entries,
                   cs->bytes / 1024.0);
     out += line;

@@ -69,7 +69,6 @@ set(_required
     "mda.spice.newton_solves"
     "mda.cache.hits"
     "mda.cache.misses"
-    "mda.cache.builds_avoided"
     "mda.cache.evictions"
     "mda.cache.bytes"
     "mda.cache.entries"
